@@ -35,9 +35,9 @@ let v2_file (w : Workload.t) =
     p
 
 let replay_v2_inline ?suppression path =
-  (* the PR 8 batched path: decode and detect alternate on one domain;
-     clustering off so the baseline predates this PR entirely *)
-  Engine.replay_batches ?suppression ~page_cluster:false ~spec:Spec.dynamic
+  (* the sequential batched path: decode and detect alternate on one
+     domain *)
+  Engine.replay_batches ?suppression ~spec:Spec.dynamic
     (fun consume ->
       Dgrace_trace.Trace_format_v2.fold_batches path (fun () b -> consume b) ())
 
@@ -129,8 +129,8 @@ let table1 () =
                  ();
                let d = Unix.gettimeofday () -. t0 in
                let det =
-                 Engine.replay_batches ~suppression:supp ~page_cluster:true
-                   ~spec:dynamic (fun consume -> Array.iter consume bs)
+                 Engine.replay_batches ~suppression:supp ~spec:dynamic
+                   (fun consume -> Array.iter consume bs)
                in
                let critical = Float.max d det.Engine.elapsed in
                if critical > 0. then seq.elapsed /. critical else Float.nan)
@@ -785,10 +785,10 @@ let batch () =
 (* Pipelined replay acceptance gate (doc/trace.md): replay the same
    recorded stream from a trace-v2 file three ways —
      S  inline:  decode and detect alternate on one domain
-                 (fold_batches feeding replay_batches, clustering off —
-                 the PR 8 batched path);
+                 (fold_batches feeding replay_batches — the sequential
+                 batched path);
      D  decode:  fold the file into batches and drop them;
-     T  detect:  apply prebuilt batches, page clustering on.
+     T  detect:  apply prebuilt batches.
    The pipeline overlaps D with T on two domains, so its critical path
    is max(D, T) — the analysis time a machine with a free core for the
    decoder would observe, the same modelling the par table uses for
@@ -798,7 +798,7 @@ let batch () =
    as in the batch table; losing the geomean after the noise-retry
    rounds exits 1 — this PR's acceptance criterion.  A live two-domain
    replay still runs once per workload: it gates bit-identical races
-   and feeds the dstall% / clhit% columns.  The [pipestat] lines are
+   and feeds the dstall% column.  The [pipestat] lines are
    the machine-readable summary the CI pipeline job checks against
    bench/pipeline_baseline_s1.txt. *)
 let pipeline () =
@@ -850,8 +850,8 @@ let pipeline () =
     in
     let run_det () =
       Gc.full_major ();
-      Engine.replay_batches ~suppression:supp ~page_cluster:true
-        ~spec:Spec.dynamic (fun consume -> Array.iter consume bs)
+      Engine.replay_batches ~suppression:supp ~spec:Spec.dynamic (fun consume ->
+          Array.iter consume bs)
     in
     let run_decode () =
       Gc.full_major ();
@@ -908,8 +908,8 @@ let pipeline () =
     Printf.printf "(%d extra measurement round(s) for workloads over budget)\n"
       !rounds;
   (* one live two-domain run per workload: race identity + the stall
-     and cluster-hit instruments (not a timing source on a box with no
-     spare core for the decoder) *)
+     instrument (not a timing source on a box with no spare core for
+     the decoder) *)
   let pipe_run : (string, Engine.summary) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (w : Workload.t) ->
@@ -922,12 +922,7 @@ let pipeline () =
     Option.value ~default:0
       (List.assoc_opt name (Dgrace_obs.Metrics.gauges s.Engine.metrics))
   in
-  let counter (s : Engine.summary) name =
-    Option.value ~default:0
-      (Dgrace_obs.Metrics.find_counter s.Engine.metrics name)
-  in
-  (* decode-stall share of the decoder's wall time, and the fraction
-     of batch rows absorbed by an already-open page cluster *)
+  (* decode-stall share of the decoder's wall time *)
   let dstall_pct (s : Engine.summary) =
     let decode = gauge s "pipeline.decode_us" in
     if decode = 0 then 0.
@@ -936,17 +931,9 @@ let pipeline () =
       *. float_of_int (gauge s "pipeline.decode_stall_us")
       /. float_of_int decode
   in
-  let clhit_pct (s : Engine.summary) =
-    let rows = counter s "cluster.rows" in
-    if rows = 0 then 0.
-    else
-      100.
-      *. (1.
-          -. float_of_int (counter s "cluster.pages") /. float_of_int rows)
-  in
-  Printf.printf "%-14s %10s %9s %9s %9s %8s %7s %7s | %6s %6s\n" "program"
-    "events" "seq(ms)" "dec(ms)" "det(ms)" "speedup" "dstall%" "clhit%"
-    "r-seq" "r-pipe";
+  Printf.printf "%-14s %10s %9s %9s %9s %8s %7s | %6s %6s\n" "program"
+    "events" "seq(ms)" "dec(ms)" "det(ms)" "speedup" "dstall%" "r-seq"
+    "r-pipe";
   let mismatches = ref 0 in
   let speedups = ref [] in
   List.iter
@@ -968,12 +955,12 @@ let pipeline () =
       if not same then incr mismatches;
       speedups := speedup w :: !speedups;
       Printf.printf
-        "%-14s %10d %9.2f %9.2f %9.2f %7.2fx %6.1f%% %6.1f%% | %6d %6d%s\n"
+        "%-14s %10d %9.2f %9.2f %9.2f %7.2fx %6.1f%% | %6d %6d%s\n"
         w.name
         (Array.length events)
         (1000. *. s.elapsed) (1000. *. d)
         (1000. *. t.Engine.elapsed)
-        (speedup w) (dstall_pct p) (clhit_pct p) s.race_count p.race_count
+        (speedup w) (dstall_pct p) s.race_count p.race_count
         (if same then "" else "  RACE MISMATCH"))
     Registry.all;
   Printf.printf "%-14s %10s %9s %9s %9s %7.2fx  (geomean)\n" "geomean" "" ""
@@ -992,13 +979,13 @@ let pipeline () =
   print_endline
     "block on the detecting domain, dec folds the file into batches and";
   print_endline
-    "drops them, det applies prebuilt batches page-clustered.  speedup =";
+    "drops them, det applies prebuilt batches in row order.  speedup =";
   print_endline
     "seq / max(dec, det): the pipeline's critical path on a machine with";
   print_endline
-    "a free core for the decoder, as in the par table.  dstall% / clhit%";
+    "a free core for the decoder, as in the par table.  dstall%";
   print_endline
-    "come from a live two-domain run that also gates race identity.";
+    "comes from a live two-domain run that also gates race identity.";
   if !mismatches > 0 then begin
     Printf.eprintf
       "bench: pipeline: %d race mismatch(es) vs inline decode\n" !mismatches;

@@ -124,16 +124,6 @@ let no_vc_intern_arg =
            per-capture deep copies).  Escape hatch for one release; races are \
            identical either way.")
 
-let no_page_cluster_arg =
-  Arg.(
-    value & flag
-    & info [ "no-page-cluster" ]
-        ~doc:
-          "Disable page-clustered batch application (apply batch rows in row \
-           order instead of grouped by aligned shadow page).  Escape hatch \
-           for one release; races, report order and stats are identical \
-           either way (doc/shadow.md).")
-
 (* tri-state: None = auto (pipeline v2 inputs), Some true/false forced *)
 let pipeline_arg =
   Arg.(
@@ -734,8 +724,8 @@ let convert_cmd =
       $ progress_every_arg)
 
 let replay_cmd =
-  let action path spec no_suppress no_vc_intern no_page_cluster pipeline
-      verbose resync no_batch shards metrics_out sample_every trace_out
+  let action path spec no_suppress no_vc_intern pipeline verbose
+      resync no_batch shards metrics_out sample_every trace_out
       progress progress_every max_shadow max_events deadline =
     or_fail @@ fun () ->
     let version = Dgrace_trace.Trace_reader.probe_version path in
@@ -755,7 +745,6 @@ let replay_cmd =
     let suppression = suppression no_suppress in
     let progress = replay_progress progress progress_every in
     let vc_intern = not no_vc_intern in
-    let page_cluster = not no_page_cluster in
     let sample_every = Option.map (fun _ -> sample_every) metrics_out in
     (* pipeline disposition: on for v2 inputs unless --no-pipeline or
        --no-batch (auto); --pipeline forces it and faults on v1 *)
@@ -800,8 +789,8 @@ let replay_cmd =
       if use_pipeline && shards = 1 then
         (* decode on its own domain, detect here; identical races,
            offsets and stop reasons as the sequential v2 paths *)
-        ( Engine.replay_pipelined ~budget ~suppression ~vc_intern ~page_cluster
-            ?sample_every ?progress ?tracer ~spec path,
+        ( Engine.replay_pipelined ~budget ~suppression ~vc_intern ?sample_every
+            ?progress ?tracer ~spec path,
           0 )
       else if
         use_pipeline && shards > 1
@@ -812,14 +801,14 @@ let replay_cmd =
            + router + one detector domain per shard.  Per-event
            machinery (budget/metrics/progress/tracer) needs the
            materialised sharded path below. *)
-        ( Engine.replay_sharded_pipelined ~suppression ~vc_intern ~page_cluster
-            ~shards ~spec path,
+        ( Engine.replay_sharded_pipelined ~suppression ~vc_intern ~shards ~spec
+            path,
           0 )
       else if version >= 2 && shards = 1 && not no_batch then
         (* stream blocks straight into the detector's batch fast path;
            decode interleaves with dispatch, no event list is built *)
-        ( Engine.replay_batches ~budget ~suppression ~vc_intern ~page_cluster
-            ?sample_every ?progress ?tracer ~spec
+        ( Engine.replay_batches ~budget ~suppression ~vc_intern ?sample_every
+            ?progress ?tracer ~spec
             (fun consume ->
               Dgrace_trace.Trace_format_v2.fold_batches path
                 (fun () b -> consume b)
@@ -829,12 +818,12 @@ let replay_cmd =
         let events, recovered_gaps = read_events () in
         let s =
           if shards = 1 then
-            Engine.replay ~budget ~suppression ~vc_intern ~page_cluster
-              ?sample_every ?progress ?tracer ~spec (List.to_seq events)
+            Engine.replay ~budget ~suppression ~vc_intern ?sample_every
+              ?progress ?tracer ~spec (List.to_seq events)
           else
             Engine.replay_sharded ~batched:(not no_batch) ~budget ~suppression
-              ~vc_intern ~page_cluster ?sample_every ?progress ?tracer ~shards
-              ~spec (List.to_seq events)
+              ~vc_intern ?sample_every ?progress ?tracer ~shards ~spec
+              (List.to_seq events)
         in
         (s, recovered_gaps)
       end
@@ -876,7 +865,7 @@ let replay_cmd =
   let term =
     Term.(
       const action $ path_arg $ spec_arg $ no_suppress_arg $ no_vc_intern_arg
-      $ no_page_cluster_arg $ pipeline_arg $ verbose_arg $ resync_arg
+      $ pipeline_arg $ verbose_arg $ resync_arg
       $ no_batch_arg $ shards_arg $ metrics_out_arg $ sample_every_arg
       $ trace_out_arg $ progress_arg $ progress_every_arg $ max_shadow_arg
       $ max_events_arg $ deadline_arg)

@@ -299,20 +299,18 @@ let with_detector ?policy ?(batched = false) ?(budget = Budget.unlimited)
   let timeseries = match sample_every with Some _ -> recorder | None -> None in
   summarize d ~elapsed ~sim ~partial ~degraded:!degraded ~timeseries
 
-let run ?policy ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster
-    ?sample_every ?progress ?tracer ~spec program =
+let run ?policy ?batched ?budget ?clock ?suppression ?vc_intern ?sample_every
+    ?progress ?tracer ~spec program =
   with_detector ?policy ?batched ?budget ?clock ?sample_every ?progress ?tracer
-    (Spec.to_detector ?suppression ?vc_intern ?page_cluster
+    (Spec.to_detector ?suppression ?vc_intern
        ?tracer:(Option.map Span.main tracer) spec)
     program
 
 let replay ?(batched = false) ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster
+    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster:_
     ?sample_every ?progress ?tracer ~spec events =
   let lane = Option.map Span.main tracer in
-  let d =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer:lane spec
-  in
+  let d = Spec.to_detector ?suppression ?vc_intern ?tracer:lane spec in
   let recorder = make_recorder d ~sample_every ~tracer in
   let now_s = seconds_of clock in
   let t0 = now_s () in
@@ -355,12 +353,10 @@ let replay ?(batched = false) ?(budget = Budget.unlimited)
    through the same composed per-event sink as {!replay}, preserving
    those semantics exactly. *)
 let replay_batches ?(budget = Budget.unlimited) ?(clock = Dgrace_obs.Clock.ns)
-    ?suppression ?vc_intern ?page_cluster ?sample_every ?progress ?tracer ~spec
-    feed =
+    ?suppression ?vc_intern ?page_cluster:_ ?sample_every ?progress ?tracer
+    ~spec feed =
   let lane = Option.map Span.main tracer in
-  let d =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer:lane spec
-  in
+  let d = Spec.to_detector ?suppression ?vc_intern ?tracer:lane spec in
   let recorder = make_recorder d ~sample_every ~tracer in
   let now_s = seconds_of clock in
   let t0 = now_s () in
@@ -531,7 +527,7 @@ let merge_sharded ~elapsed ~timeseries (r : Par.result) =
   }
 
 let replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~shards ~spec events =
+    ?sample_every ?progress ?tracer ~shards ~spec events =
   if shards < 1 then invalid_arg "Engine.replay_sharded: shards must be >= 1";
   let t0 = Unix.gettimeofday () in
   (* materialise first: the splitter needs two passes, and forcing the
@@ -541,7 +537,7 @@ let replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
   (* shard [i]'s detector traces onto the same lane the shard's own
      spans land on (the [Par.shard_lane] convention) *)
   let make i =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster
+    Spec.to_detector ?suppression ?vc_intern
       ?tracer:(Option.map (fun t -> Span.lane t (Par.shard_lane i)) tracer)
       spec
   in
@@ -565,7 +561,7 @@ let replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
   in
   let r =
     Par.analyze ?mode ?batched ?budget ?clock ?progress ?tracer ?recorder_for
-      ~make ~shards ~granule:Dynamic_granularity.share_granule events
+      ~make ~shards ~granule:(Spec.shard_granule spec) events
   in
   let recorders =
     Array.to_list r.Par.outcomes
@@ -618,12 +614,10 @@ let pipeline_gauges metrics (p : Trace_pipeline.stats) =
     (usec p.Trace_pipeline.decode_ns)
 
 let replay_pipelined ?slots ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster
+    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster:_
     ?sample_every ?progress ?tracer ~spec path =
   let lane = Option.map Span.main tracer in
-  let d =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer:lane spec
-  in
+  let d = Spec.to_detector ?suppression ?vc_intern ?tracer:lane spec in
   let recorder = make_recorder d ~sample_every ~tracer in
   let now_s = seconds_of clock in
   let t0 = now_s () in
@@ -678,23 +672,21 @@ let replay_pipelined ?slots ?(budget = Budget.unlimited)
   summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
 
 let replay_sharded_pipelined ?slots ?(clock = Dgrace_obs.Clock.ns) ?suppression
-    ?vc_intern ?page_cluster ~shards ~spec path =
+    ?vc_intern ?page_cluster:_ ~shards ~spec path =
   if shards < 1 then
     invalid_arg "Engine.replay_sharded_pipelined: shards must be >= 1";
   let t0 = Unix.gettimeofday () in
-  let make (_ : int) =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster spec
-  in
+  let make (_ : int) = Spec.to_detector ?suppression ?vc_intern spec in
   let r, pipe =
     Par.analyze_pipelined ?slots ~clock ~make ~shards
-      ~granule:Dynamic_granularity.share_granule path
+      ~granule:(Spec.shard_granule spec) path
   in
   let s = merge_sharded ~elapsed:(Unix.gettimeofday () -. t0) ~timeseries:None r in
   pipeline_gauges s.metrics pipe;
   s
 
 (* ------------------------------------------------------------------ *)
-(* checked entry points: structured errors instead of exceptions *)
+(* checked calls: structured errors instead of exceptions *)
 
 let checked f =
   match f () with
@@ -702,43 +694,6 @@ let checked f =
   | exception Error.E e -> Error e
   | exception Sim.Deadlock { Sim.blocked; held } ->
     Error (Error.Deadlock { blocked; held })
-
-let run_checked ?policy ?batched ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~spec program =
-  checked (fun () ->
-      run ?policy ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster
-        ?sample_every ?progress ?tracer ~spec program)
-
-let replay_checked ?batched ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~spec events =
-  checked (fun () ->
-      replay ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster
-        ?sample_every ?progress ?tracer ~spec events)
-
-let replay_batches_checked ?budget ?clock ?suppression ?vc_intern ?page_cluster
-    ?sample_every ?progress ?tracer ~spec feed =
-  checked (fun () ->
-      replay_batches ?budget ?clock ?suppression ?vc_intern ?page_cluster
-        ?sample_every ?progress ?tracer ~spec feed)
-
-let replay_sharded_checked ?mode ?batched ?budget ?clock ?suppression
-    ?vc_intern ?page_cluster ?sample_every ?progress ?tracer ~shards ~spec
-    events =
-  checked (fun () ->
-      replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
-        ?page_cluster ?sample_every ?progress ?tracer ~shards ~spec events)
-
-let replay_pipelined_checked ?slots ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~spec path =
-  checked (fun () ->
-      replay_pipelined ?slots ?budget ?clock ?suppression ?vc_intern
-        ?page_cluster ?sample_every ?progress ?tracer ~spec path)
-
-let replay_sharded_pipelined_checked ?slots ?clock ?suppression ?vc_intern
-    ?page_cluster ~shards ~spec path =
-  checked (fun () ->
-      replay_sharded_pipelined ?slots ?clock ?suppression ?vc_intern
-        ?page_cluster ~shards ~spec path)
 
 let summarize_detector d ~elapsed ~partial ~degraded =
   summarize d ~elapsed ~sim:None ~partial ~degraded ~timeseries:None

@@ -79,7 +79,6 @@ val run :
   ?clock:Dgrace_obs.Clock.source ->
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?sample_every:int ->
   ?progress:int * (int -> unit) ->
   ?tracer:Dgrace_obs.Span.t ->
@@ -115,7 +114,7 @@ val run :
     for.
 
     @raise Sim.Deadlock when the workload globally deadlocks
-    (see {!run_checked} for the [result] form). *)
+    (see {!checked} for the [result] form). *)
 
 val replay :
   ?batched:bool ->
@@ -133,8 +132,13 @@ val replay :
 (** Analyse a pre-recorded event stream (see {!Dgrace_trace}).
     [batched] works as in {!run}; [tracer] works as in {!run}, with
     the dispatch phase recorded as an ["engine.replay"] span.
+    [page_cluster] is accepted and ignored here and in
+    {!replay_batches}, {!replay_pipelined} and
+    {!replay_sharded_pipelined}: batches always apply in row order.
+    The label remains only so that callers written against the earlier
+    signature (the perfbench harness) still compile.
     @raise Dgrace_resilience.Error.E when forcing the sequence hits a
-    corrupt record (see {!replay_checked} for the [result] form). *)
+    corrupt record (see {!checked} for the [result] form). *)
 
 val replay_batches :
   ?budget:Dgrace_resilience.Budget.t ->
@@ -158,9 +162,10 @@ val replay_batches :
     same composed per-event sink as {!replay}, so those semantics are
     preserved exactly.  Budget stops raised while the producer runs
     are converted to [partial] as usual; errors the producer raises
-    (e.g. a corrupt v2 block) propagate.
+    (e.g. a corrupt v2 block) propagate.  [page_cluster] is ignored
+    (see {!replay}).
     @raise Dgrace_resilience.Error.E on corrupt input (see
-    {!replay_batches_checked}). *)
+    {!checked}). *)
 
 val replay_sharded :
   ?mode:Dgrace_par.Par.mode ->
@@ -169,7 +174,6 @@ val replay_sharded :
   ?clock:Dgrace_obs.Clock.source ->
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?sample_every:int ->
   ?progress:int * (int -> unit) ->
   ?tracer:Dgrace_obs.Span.t ->
@@ -232,9 +236,10 @@ val replay_pipelined :
     [pipeline.detect_stall_us] / [pipeline.decode_us] gauges (stall
     time is measured on [clock]); with a [tracer], block decodes land
     on a ["decoder"] lane so [racedet timings] shows the
-    decode-vs-detect split.
+    decode-vs-detect split.  [page_cluster] is ignored (see
+    {!replay}).
     @raise Dgrace_resilience.Error.E on corrupt input (see
-    {!replay_pipelined_checked}). *)
+    {!checked}). *)
 
 val replay_sharded_pipelined :
   ?slots:int ->
@@ -258,6 +263,7 @@ val replay_sharded_pipelined :
     {!replay_pipelined} on top of the [par.*] ones.  Per-event
     machinery (budget, recorder, progress, tracer) is not offered on
     this path — callers needing it use {!replay_sharded}.
+    [page_cluster] is ignored (see {!replay}).
     @raise Dgrace_resilience.Error.E on corrupt input.
     @raise Invalid_argument when [shards < 1]. *)
 
@@ -277,97 +283,14 @@ val with_detector :
     {!Spec.to_detector}; [tracer] here records the engine-level spans
     and counter tracks.) *)
 
-(** {1 Checked entry points}
-
-    The same runs with every anticipated failure — deadlocked
-    workload, corrupt trace, exhausted budget raised as an error by a
-    lower layer — returned as a structured
-    {!Dgrace_resilience.Error.t} instead of an exception.  Budget
-    stops are {e not} errors here: they produce [Ok summary] with
-    [partial] set. *)
-
-val run_checked :
-  ?policy:Scheduler.policy ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  (unit -> unit) ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_checked :
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  Event.t Seq.t ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_batches_checked :
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  ((Batch.t -> unit) -> unit) ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_sharded_checked :
-  ?mode:Dgrace_par.Par.mode ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  shards:int ->
-  spec:Spec.t ->
-  Event.t Seq.t ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_pipelined_checked :
-  ?slots:int ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  string ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_sharded_pipelined_checked :
-  ?slots:int ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  shards:int ->
-  spec:Spec.t ->
-  string ->
-  (summary, Dgrace_resilience.Error.t) result
+val checked : (unit -> 'a) -> ('a, Dgrace_resilience.Error.t) result
+(** [checked (fun () -> replay ~spec events)] runs any entry point
+    above with every anticipated failure — deadlocked workload
+    ({!Sim.Deadlock}), corrupt trace, exhausted budget raised as an
+    error by a lower layer ({!Dgrace_resilience.Error.E}) — returned
+    as a structured {!Dgrace_resilience.Error.t} instead of an
+    exception.  Budget stops are {e not} errors here: they produce
+    [Ok summary] with [partial] set. *)
 
 val summarize_detector :
   Detector.t ->

@@ -56,18 +56,22 @@ val all_names : string list
 val to_detector :
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   t ->
   Detector.t
 (** Instantiate a fresh detector.  [~vc_intern:false] disables
     hash-consing of vector-clock snapshots in the detectors that keep
     them (the FastTrack family, DRD, Inspector, RaceTrack) — the
-    [--no-vc-intern] escape hatch.  [~page_cluster:false] disables
-    page-clustered batch application in the detectors with a batched
-    fast path (the FastTrack family) — the [--no-page-cluster] escape
-    hatch; per-event dispatch is unaffected either way.
+    [--no-vc-intern] escape hatch.  The FastTrack family's batched
+    fast path applies rows in row order, identically to per-event
+    dispatch.
     [~tracer:lane] registers sampled per-phase timers on the given
     tracing lane in the detectors that support them (the FastTrack
     family — see {!Dynamic_granularity.create}); other detectors
     ignore it. *)
+
+val shard_granule : t -> int
+(** The aligned line size a sharded replay splits the address space
+    at for this detector: no detector state spans two such lines.
+    It is {!Dynamic_granularity.share_granule}, or the slot size of a
+    fixed-granularity FastTrack whose slots are wider than that. *)

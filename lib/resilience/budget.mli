@@ -43,4 +43,4 @@ val stop_to_string : stop -> string
 val stop_to_json : stop -> Dgrace_obs.Json.t
 
 val stop_to_error : stop -> Error.t
-(** The {!Error.Budget_exhausted} form, for the [_checked] APIs. *)
+(** The {!Error.Budget_exhausted} form, for [Engine.checked]. *)

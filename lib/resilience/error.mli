@@ -5,8 +5,8 @@
     resource budget — is a value of {!t}, carrying enough context to
     act on (byte offsets, thread ids, held locks, limits).  The CLI
     maps these to the documented exit-code contract
-    (see [doc/resilience.md]); the engine returns them from the
-    [_checked] entry points; the fault-injection harness asserts that
+    (see [doc/resilience.md]); the engine returns them from
+    [Engine.checked]; the fault-injection harness asserts that
     injected faults surface as exactly these values and nothing
     else. *)
 

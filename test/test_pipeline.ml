@@ -1,5 +1,5 @@
 (* Differential proof for the pipelined decode→detect replay and the
-   page-clustered batch application (doc/trace.md, doc/shadow.md):
+   batch fast paths (doc/trace.md, doc/shadow.md):
 
    - the pipelined replay must be bit-identical to the sequential
      batched path on races (content and order), stream stats,
@@ -9,9 +9,8 @@
      with exactly the sequential error (same absolute offset, same
      events_read) after exactly the sequential prefix;
    - budget stops must pin the same stop_reason and partial summary;
-   - page-clustered application (grouping a batch's rows by aligned
-     share-granule page) must be report- and stats-identical to
-     row-order application for the dynamic and fixed-granularity
+   - batched application must be report- and stats-identical to the
+     per-event reference for the dynamic and fixed-granularity
      detectors, with and without vector-clock interning, sharded or
      not;
    - the batch ring honours its recycling protocol: FIFO, error only
@@ -359,10 +358,15 @@ let with_v2 events f =
   let (), _ = Trace_format_v2.to_file v2 (fun sink -> List.iter sink events) in
   Fun.protect ~finally:(fun () -> Sys.remove v2) (fun () -> f v2)
 
-let qcheck_page_cluster_law =
+(* The batch fast paths against the per-event [on_event] reference:
+   the dynamic detector and its word instance, and the standalone
+   FastTrack at a sub-page and a super-page granularity, so both
+   detectors' [process_batch] are covered. *)
+let qcheck_batched_law =
   QCheck.Test.make
     ~name:
-      "pipeline: page-clustered = row-order (dynamic+word x intern x shards)"
+      "pipeline: batched = per-event (dynamic+word+ft:8+ft:8192 x intern x \
+       shards)"
     ~count:25 arb_events (fun events ->
       with_v2 events (fun v2 ->
           List.for_all
@@ -370,24 +374,27 @@ let qcheck_page_cluster_law =
               List.for_all
                 (fun vc_intern ->
                   let base =
-                    Engine.replay_batches ~vc_intern ~page_cluster:false ~spec
-                      (fold_feed v2)
+                    Engine.replay ~vc_intern ~spec (List.to_seq events)
                   in
-                  let clustered =
-                    Engine.replay_batches ~vc_intern ~page_cluster:true ~spec
-                      (fold_feed v2)
+                  let batched =
+                    Engine.replay_batches ~vc_intern ~spec (fold_feed v2)
                   in
-                  equivalent base clustered
+                  equivalent base batched
                   && List.for_all
                        (fun shards ->
                          let sh =
-                           Engine.replay_sharded ~vc_intern ~page_cluster:true
-                             ~shards ~spec (List.to_seq events)
+                           Engine.replay_sharded ~vc_intern ~shards ~spec
+                             (List.to_seq events)
                          in
                          equivalent base sh)
                        [ 1; 4 ])
                 [ true; false ])
-            [ Spec.dynamic; Spec.word ]))
+            [
+              Spec.dynamic;
+              Spec.word;
+              Spec.Fasttrack { granularity = 8 };
+              Spec.Fasttrack { granularity = 8192 };
+            ]))
 
 let qcheck_pipelined_identical =
   QCheck.Test.make ~name:"pipeline: pipelined replay = sequential batched"
@@ -429,7 +436,7 @@ let suites : unit Alcotest.test list =
             test_corrupt_corpus_error_identity;
           Alcotest.test_case "budget stop identity" `Quick
             test_budget_stop_identity;
-          QCheck_alcotest.to_alcotest qcheck_page_cluster_law;
+          QCheck_alcotest.to_alcotest qcheck_batched_law;
           QCheck_alcotest.to_alcotest qcheck_pipelined_identical;
         ] );
     ( "pipeline.serve",

@@ -124,11 +124,12 @@ let test_null_detector_cannot_degrade () =
 (* ------------------------------------------------------------------ *)
 (* structured failure *)
 
-let test_run_checked_deadlock () =
+let test_checked_run_deadlock () =
   match
-    Engine.run_checked ~policy ~spec:Spec.dynamic (fun () ->
-        let flag = Sim.event () in
-        Sim.event_wait flag)
+    Engine.checked (fun () ->
+        Engine.run ~policy ~spec:Spec.dynamic (fun () ->
+            let flag = Sim.event () in
+            Sim.event_wait flag))
   with
   | Error (Error.Deadlock { blocked; held }) ->
     Alcotest.(check (list int)) "main thread blocked" [ 0 ] blocked;
@@ -136,7 +137,7 @@ let test_run_checked_deadlock () =
   | Ok _ -> Alcotest.fail "expected deadlock"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
 
-let test_replay_checked_corrupt () =
+let test_checked_replay_corrupt () =
   let path = Filename.temp_file "dgrace-resilience" ".trace" in
   let oc = open_out_bin path in
   output_string oc "DGRT\x01\xee\xee\xee";
@@ -148,8 +149,9 @@ let test_replay_checked_corrupt () =
         close_in_noerr ic;
         Sys.remove path)
       (fun () ->
-        Engine.replay_checked ~spec:Spec.dynamic
-          (Dgrace_trace.Trace_reader.read ~path ic))
+        Engine.checked (fun () ->
+            Engine.replay ~spec:Spec.dynamic
+              (Dgrace_trace.Trace_reader.read ~path ic)))
   in
   match result with
   | Error (Error.Corrupt_trace { path = Some p; _ }) ->
@@ -239,9 +241,9 @@ let suites : unit Alcotest.test list =
     ( "resilience.errors",
       [
         Alcotest.test_case "run_checked deadlock" `Quick
-          test_run_checked_deadlock;
+          test_checked_run_deadlock;
         Alcotest.test_case "replay_checked corrupt" `Quick
-          test_replay_checked_corrupt;
+          test_checked_replay_corrupt;
         Alcotest.test_case "exit-code table" `Quick test_exit_codes;
       ] );
     ( "resilience.faults",
