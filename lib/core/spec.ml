@@ -144,6 +144,6 @@ let rec to_detector ?suppression ?vc_intern ?tracer spec =
       ~rate ~name:(name spec) ~inner ()
 
 let shard_granule = function
-  | Fasttrack { granularity } ->
-    max Dynamic_granularity.share_granule granularity
+  | Fasttrack { granularity } | Djit { granularity } ->
+    Int.max Dynamic_granularity.share_granule granularity
   | _ -> Dynamic_granularity.share_granule

@@ -74,4 +74,5 @@ val shard_granule : t -> int
 (** The aligned line size a sharded replay splits the address space
     at for this detector: no detector state spans two such lines.
     It is {!Dynamic_granularity.share_granule}, or the slot size of a
-    fixed-granularity FastTrack whose slots are wider than that. *)
+    fixed-granularity FastTrack or DJIT+ whose slots are wider than
+    that. *)

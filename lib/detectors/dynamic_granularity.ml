@@ -6,6 +6,13 @@ module Metrics = Dgrace_obs.Metrics
 module Span = Dgrace_obs.Span
 module State_matrix = Dgrace_obs.State_matrix
 
+(* Hot-loop guard (doc/shadow.md, "Hot-loop rules"): Stdlib's
+   polymorphic [min]/[max]/[compare] are C calls, so this module only
+   sees the int ones, which inline; any other use fails to type. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+let[@warning "-32"] compare = Int.compare
+
 (* A cell is one vector clock shared by the locations in [lo, hi).
    Cells live in one plane only (read or write); the dormant history
    field of the other plane stays at its initial value.  [refs] counts
@@ -47,7 +54,7 @@ let same_granule a b = a lsr share_granule_bits = b lsr share_granule_bits
    share line?  (A cell created by a single line-straddling access may
    itself span a line; such a cell never coalesces further.) *)
 let merge_within_granule ~lo1 ~hi1 ~lo2 ~hi2 =
-  same_granule (min lo1 lo2) (max hi1 hi2 - 1)
+  same_granule (Int.min lo1 lo2) (Int.max hi1 hi2 - 1)
 
 type state = {
   sharing : bool;  (* false = the paper's byte detector: footprint
@@ -266,8 +273,8 @@ let dissolve_and_report st ~write c ~current ~previous =
 let absorb st ~write ~into:nc l ~stimulus =
   let pl = plane st ~write in
   Shadow_table.set_range pl ~lo:l.lo ~hi:l.hi nc;
-  nc.lo <- min nc.lo l.lo;
-  nc.hi <- max nc.hi l.hi;
+  nc.lo <- Int.min nc.lo l.lo;
+  nc.hi <- Int.max nc.hi l.hi;
   nc.refs <- nc.refs + l.refs;
   must_step st nc stimulus;
   Accounting.bind_locations st.account l.refs;
@@ -305,8 +312,8 @@ let first_access st ~write ~ulo ~uhi ~here ~tid ~tvc ~loc =
   match candidate with
   | Some nc ->
     Shadow_table.set_range pl ~lo:ulo ~hi:uhi nc;
-    nc.lo <- min nc.lo ulo;
-    nc.hi <- max nc.hi uhi;
+    nc.lo <- Int.min nc.lo ulo;
+    nc.hi <- Int.max nc.hi uhi;
     nc.refs <- nc.refs + (uhi - ulo);
     (* the cell's label stays that of its creating access: a shared
        label is approximate either way, and overwriting it would let a
@@ -377,6 +384,12 @@ let second_epoch st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc ~current =
       | Some wa, Some wb -> wa == wb
       | (Some _ | None), _ -> false
     in
+    (* a match, not [= No_reads]: structural equality on a
+       non-constant variant is a C call *)
+    let no_reads = function
+      | Read_state.No_reads -> true
+      | Read_state.Ep _ | Read_state.Vc _ -> false
+    in
     let neighbor_at a =
       match Shadow_table.get pl a with
       | Some nc
@@ -385,7 +398,7 @@ let second_epoch st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc ~current =
                   ~hi2:sub_hi
              && Share_state.is_settled nc.cstate
              && (hist_equal ~write l nc
-                 || (write_guided a && nc.r = Read_state.No_reads)) -> Some nc
+                 || (write_guided a && no_reads nc.r)) -> Some nc
       | Some _ | None -> None
     in
     let candidate =
@@ -489,7 +502,7 @@ let coarsen_plane st ~write =
         Hashtbl.replace cells c.lo c)
     pl;
   let los =
-    Hashtbl.fold (fun lo _ acc -> lo :: acc) cells [] |> List.sort compare
+    Hashtbl.fold (fun lo _ acc -> lo :: acc) cells [] |> List.sort Int.compare
   in
   let merged = ref 0 in
   List.iter
@@ -637,7 +650,7 @@ let on_free st ~addr ~size =
         (fun slo shi c ->
           (* slot bounds may overhang the freed range (word slot cut
              by the boundary); only the intersection is unbound *)
-          c.refs <- c.refs - (min hi shi - max addr slo);
+          c.refs <- c.refs - (Int.min hi shi - Int.max addr slo);
           if c.refs <= 0 then retire st c)
         pl ~lo:addr ~hi;
       Shadow_table.remove_range pl ~lo:addr ~hi)

@@ -180,10 +180,8 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty)
       granularity;
       intern;
       env = Vc_env.create ();
-      (* a page must hold at least one slot *)
       shadow =
-        Shadow_table.create ~block:(max 128 granularity)
-          ~mode:(Shadow_table.Fixed_bytes granularity) ~account ();
+        Shadow_table.create ~mode:(Shadow_table.Fixed_bytes granularity) ~account ();
       bitmaps = Vec.create ();
       account;
       stats = Run_stats.create ();

@@ -11,6 +11,13 @@
    column is unchanged); after [reset] the footprint reads zero.
    Directory overhead is exposed through [stats]. *)
 
+(* Hot-loop guard (doc/shadow.md, "Hot-loop rules"): Stdlib's
+   polymorphic [min]/[max]/[compare] are C calls, so this module only
+   sees the int ones, which inline; any other use fails to type. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+let[@warning "-32"] compare = Int.compare
+
 type t = {
   block : int;  (* addresses covered per chunk *)
   block_bits : int;
@@ -120,7 +127,7 @@ let ensure_row t ri =
       let lo = t.row_base and hi = t.row_base + len in
       if ri >= lo && ri < hi then t.rows.(ri - lo) <- fresh
       else begin
-        let new_lo = min lo ri and new_hi = max hi (ri + 1) in
+        let new_lo = Int.min lo ri and new_hi = Int.max hi (ri + 1) in
         let span = new_hi - new_lo in
         if span > max_window_rows then begin
           Hashtbl.replace t.spill ri fresh;
@@ -128,9 +135,13 @@ let ensure_row t ri =
           t.dir_words <- t.dir_words + 4
         end
         else begin
-          let cap = min max_window_rows (max (next_pow2 span) (2 * len)) in
-          let base' = if ri < lo then max (new_hi - cap) new_lo else new_lo in
-          let base' = max base' (new_hi - cap) in
+          let cap =
+            Int.min max_window_rows (Int.max (next_pow2 span) (2 * len))
+          in
+          let base' =
+            if ri < lo then Int.max (new_hi - cap) new_lo else new_lo
+          in
+          let base' = Int.max base' (new_hi - cap) in
           let grown = Array.make cap no_row in
           Array.blit t.rows 0 grown (lo - base') len;
           t.dir_words <- t.dir_words + (cap - len);
@@ -191,9 +202,9 @@ let mark t ~write ~lo ~hi =
   while !addr < hi do
     let base = !addr land lnot (t.block - 1) in
     let c = chunk t !addr in
-    let upper = min hi (base + t.block) in
+    let upper = Int.min hi (base + t.block) in
     let off0 = !addr - base and off1 = upper - base in
-    let head_end = min off1 ((off0 + 3) land lnot 3) in
+    let head_end = Int.min off1 ((off0 + 3) land lnot 3) in
     for o = off0 to head_end - 1 do
       orset c (o lsr 2) (bit lsl ((o land 3) * 2))
     done;
@@ -203,7 +214,7 @@ let mark t ~write ~lo ~hi =
       orset c (!o lsr 2) pattern;
       o := !o + 4
     done;
-    for o = max body_end head_end to off1 - 1 do
+    for o = Int.max body_end head_end to off1 - 1 do
       orset c (o lsr 2) (bit lsl ((o land 3) * 2))
     done;
     addr := upper

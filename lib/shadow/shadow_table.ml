@@ -33,6 +33,13 @@
    on [addr land 1] and masked even-but-unaligned (offset-2) accesses
    into word slots. *)
 
+(* Hot-loop guard (doc/shadow.md, "Hot-loop rules"): Stdlib's
+   polymorphic [min]/[max]/[compare] are C calls, so this module only
+   sees the int ones, which inline; any other use fails to type. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+let[@warning "-32"] compare = Int.compare
+
 type mode = Fixed_bytes of int | Adaptive
 
 (* The unique "no value here" sentinel.  A private heap block, so it
@@ -120,10 +127,12 @@ let default_gran t addr =
   | Fixed_bytes g -> g
   | Adaptive -> if addr land 3 <> 0 then 1 else 4
 
-let create ?(block = 128) ~mode ?account () =
+let create ?block ~mode ?account () =
+  let g = initial_width mode in
+  (* by default a page holds at least one slot *)
+  let block = match block with Some b -> b | None -> Int.max 128 g in
   if not (is_pow2 block) then
     invalid_arg "Shadow_table.create: block not a power of two";
-  let g = initial_width mode in
   if not (is_pow2 g) || g > block then
     invalid_arg "Shadow_table.create: bad slot size";
   {
@@ -212,7 +221,7 @@ let ensure_row t ri =
       let lo = t.row_base and hi = t.row_base + len in
       if ri >= lo && ri < hi then t.rows.(ri - lo) <- fresh
       else begin
-        let new_lo = min lo ri and new_hi = max hi (ri + 1) in
+        let new_lo = Int.min lo ri and new_hi = Int.max hi (ri + 1) in
         let span = new_hi - new_lo in
         if span > max_window_rows then begin
           Hashtbl.replace t.spill ri fresh;
@@ -220,10 +229,14 @@ let ensure_row t ri =
           t.dir_words <- t.dir_words + 4 (* rough per-binding overhead *)
         end
         else begin
-          let cap = min max_window_rows (max (next_pow2 span) (2 * len)) in
+          let cap =
+            Int.min max_window_rows (Int.max (next_pow2 span) (2 * len))
+          in
           (* leave the slack on the side we are growing toward *)
-          let base' = if ri < lo then max (new_hi - cap) new_lo else new_lo in
-          let base' = max base' (new_hi - cap) in
+          let base' =
+            if ri < lo then Int.max (new_hi - cap) new_lo else new_lo
+          in
+          let base' = Int.max base' (new_hi - cap) in
           let grown = Array.make cap no_row in
           Array.blit t.rows 0 grown (lo - base') len;
           t.dir_words <- t.dir_words + (cap - len);
@@ -423,7 +436,7 @@ let set_range t ~lo ~hi v =
         | p when p != null_page -> p
         | _ -> make_page t !a
       in
-      let upper = min hi (p.p_base + t.block) in
+      let upper = Int.min hi (p.p_base + t.block) in
       let i0 = slot_index p !a and i1 = slot_index p (upper - 1) in
       for i = i0 to i1 do
         if p.slots.(i) == empty then p.used <- p.used + 1;
@@ -442,7 +455,7 @@ let remove_range t ~lo ~hi =
       let p = find_page t !a in
       if p == null_page then a := base_of t !a + t.block
       else begin
-        let upper = min hi (p.p_base + t.block) in
+        let upper = Int.min hi (p.p_base + t.block) in
         let i0 = slot_index p !a and i1 = slot_index p (upper - 1) in
         for i = i0 to i1 do
           if p.slots.(i) != empty then begin
@@ -482,7 +495,7 @@ let prev_neighbor t addr =
       end
       else begin
         let i = slot_index p a in
-        let stop = max 0 (i - remaining + 1) in
+        let stop = Int.max 0 (i - remaining + 1) in
         let rec look i =
           if i < stop then None
           else if p.slots.(i) != empty then begin
@@ -515,7 +528,7 @@ let next_neighbor t addr =
       else begin
         let i = slot_index p a in
         let n = Array.length p.slots in
-        let stop = min (n - 1) (i + remaining - 1) in
+        let stop = Int.min (n - 1) (i + remaining - 1) in
         let rec look i =
           if i > stop then None
           else if p.slots.(i) != empty then begin
@@ -575,7 +588,7 @@ let group t addr ~hi =
   in
   let ghi = walk (glo + g0) in
   let value = if v == empty then None else Some (Obj.obj v) in
-  (glo, max ghi (glo + g0), value)
+  (glo, Int.max ghi (glo + g0), value)
 
 (* ------------------------------------------------------------------ *)
 (* Iteration and accounting                                           *)
@@ -602,7 +615,7 @@ let iter_range f t ~lo ~hi =
       let p = find_page t !a in
       if p == null_page then a := base_of t !a + t.block
       else begin
-        let upper = min hi (p.p_base + t.block) in
+        let upper = Int.min hi (p.p_base + t.block) in
         let i0 = slot_index p !a and i1 = slot_index p (upper - 1) in
         for i = i0 to i1 do
           let v = p.slots.(i) in

@@ -34,7 +34,7 @@ type 'a t
 
 val create : ?block:int -> mode:mode -> ?account:Accounting.t -> unit -> 'a t
 (** [block] must be a power of two and a multiple of the slot size
-    (default 128). *)
+    (default 128, or the slot size of a wider [Fixed_bytes] mode). *)
 
 val mode : 'a t -> mode
 val block : 'a t -> int

@@ -26,6 +26,13 @@ module Error = Dgrace_resilience.Error
 
    See doc/trace.md for the worked layout. *)
 
+(* Hot-loop guard (doc/shadow.md, "Hot-loop rules"): Stdlib's
+   polymorphic [min]/[max]/[compare] are C calls, so this module only
+   sees the int ones, which inline; any other use fails to type. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+let[@warning "-32"] compare = Int.compare
+
 let version = 2
 let block_events = Batch.default_capacity
 
@@ -54,7 +61,8 @@ let encode_body enc (b : Batch.t) =
     invalid_arg "Trace_format_v2.encode_body: 1 <= batch length <= 4096 required";
   let buf = Buffer.create (n * 4) in
   write_varint buf n;
-  let rle get put =
+  (* int columns only: a polymorphic [get] would make [=] a C call *)
+  let rle (get : int -> int) put =
     let i = ref 0 in
     while !i < n do
       let v = get !i in
@@ -155,15 +163,28 @@ let to_file path f =
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
+(* Location ids are dense (0, 1, 2, ... in first-use order), so the
+   decoder's intern table is a growable array indexed by id: one
+   bounds-checked load per access row instead of a hash. *)
 type stream_decoder = {
   path : string option;
-  d_locs : (int, string) Hashtbl.t;
+  mutable d_locs : string array;  (* ids [0, d_next_loc) are live *)
   mutable d_next_loc : int;
   mutable events_read : int;
 }
 
 let stream_decoder ?path () =
-  { path; d_locs = Hashtbl.create 64; d_next_loc = 0; events_read = 0 }
+  { path; d_locs = Array.make 64 ""; d_next_loc = 0; events_read = 0 }
+
+let add_loc dec s =
+  let id = dec.d_next_loc in
+  if id = Array.length dec.d_locs then begin
+    let grown = Array.make (2 * id) "" in
+    Array.blit dec.d_locs 0 grown 0 id;
+    dec.d_locs <- grown
+  end;
+  dec.d_locs.(id) <- s;
+  dec.d_next_loc <- id + 1
 
 (* In-body cursor; [Corrupt] carries the reason, the caller maps it to
    an [Error.Corrupt_trace] at the cursor's absolute offset. *)
@@ -274,14 +295,13 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
     for i = 0 to n - 1 do
       if kind.(i) <= tag_write then begin
         let id = cur_varint cur in
-        if id < dec.d_next_loc then loc.(i) <- Hashtbl.find dec.d_locs id
+        if id < dec.d_next_loc then loc.(i) <- dec.d_locs.(id)
         else if id = dec.d_next_loc then begin
           let len = cur_varint cur in
           if len > max_loc_len then
             raise (Corrupt (Printf.sprintf "location length %d out of range" len));
           let s = cur_take cur len in
-          Hashtbl.replace dec.d_locs id s;
-          dec.d_next_loc <- id + 1;
+          add_loc dec s;
           loc.(i) <- s
         end
         else raise (Corrupt (Printf.sprintf "location id %d from the future" id))

@@ -1,5 +1,12 @@
 open Dgrace_events
 
+(* Hot-loop guard (doc/shadow.md, "Hot-loop rules"): Stdlib's
+   polymorphic [min]/[max]/[compare] are C calls, so this module only
+   sees the int ones, which inline; any other use fails to type. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+let[@warning "-32"] compare = Int.compare
+
 type t = {
   shards : (int * Event.t) array array;
   events : int;
@@ -26,26 +33,30 @@ let log2 n =
    super-granule, which then routes to a single shard; everything the
    detector can learn about an address stays inside its super-granule
    (the detector's own [share_granule] gate guarantees no sharing
-   decision crosses a granule line). *)
-let find parent g =
-  let rec root g =
-    match Hashtbl.find_opt parent g with None -> g | Some p -> root p
-  in
-  let r = root g in
-  (* path compression *)
-  let rec compress g =
-    match Hashtbl.find_opt parent g with
-    | None -> ()
-    | Some p ->
-      if p <> r then Hashtbl.replace parent g r;
-      compress p
-  in
-  compress g;
-  r
+   decision crosses a granule line).  With no weld at all — the common
+   case — every granule is its own root and [find] hashes nothing. *)
+let find (parent : (int, int) Hashtbl.t) g =
+  if Hashtbl.length parent = 0 then g
+  else begin
+    let rec root g =
+      match Hashtbl.find_opt parent g with None -> g | Some p -> root p
+    in
+    let r = root g in
+    (* path compression *)
+    let rec compress g =
+      match Hashtbl.find_opt parent g with
+      | None -> ()
+      | Some p ->
+        if p <> r then Hashtbl.replace parent g r;
+        compress p
+    in
+    compress g;
+    r
+  end
 
-let union parent a b =
+let union (parent : (int, int) Hashtbl.t) a b =
   let ra = find parent a and rb = find parent b in
-  if ra <> rb then Hashtbl.replace parent (max ra rb) (min ra rb)
+  if ra <> rb then Hashtbl.replace parent (Int.max ra rb) (Int.min ra rb)
 
 (* Pack one shard's [(offset, event)] stream into struct-of-arrays
    batches for the detectors' [process_batch] fast path; the stream
@@ -56,7 +67,7 @@ let batches_of ?(capacity = Batch.default_capacity) stream =
   let nb = (n + capacity - 1) / capacity in
   Array.init nb (fun bi ->
       let lo = bi * capacity in
-      let hi = min n (lo + capacity) in
+      let hi = Int.min n (lo + capacity) in
       let b = Batch.create ~capacity () in
       for i = lo to hi - 1 do
         let off, ev = stream.(i) in
@@ -106,7 +117,7 @@ let plan_batch p (b : Batch.t) =
       let addr = b.Batch.b.(i) in
       let size = b.Batch.c.(i) in
       let g0 = addr lsr p.p_gshift in
-      let g1 = (addr + max size 1 - 1) lsr p.p_gshift in
+      let g1 = (addr + Int.max size 1 - 1) lsr p.p_gshift in
       if g1 > g0 then begin
         p.p_straddling <- p.p_straddling + 1;
         for g = g0 to g1 - 1 do
@@ -152,7 +163,7 @@ let split ~shards:k ~granule events =
       match ev with
       | Event.Access { addr; size; _ } ->
         let g0 = addr lsr gshift in
-        let g1 = (addr + max size 1 - 1) lsr gshift in
+        let g1 = (addr + Int.max size 1 - 1) lsr gshift in
         if g1 > g0 then begin
           incr straddling;
           for g = g0 to g1 - 1 do

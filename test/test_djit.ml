@@ -57,6 +57,39 @@ let test_free_retires () =
   in
   Alcotest.(check int) "retired" 0 (Accounting.live_vcs d.Detector.account)
 
+(* Slots wider than a shadow page (128 B) or a share line (4 KiB):
+   creation must not fail, and sharded replay must agree with the
+   per-event run.  The stream writes both 4 KiB halves of eight 8 KiB
+   slots from two unordered threads — a race per slot at djit:8192,
+   none at djit:256 — plus a same-thread and a lock-ordered pair. *)
+let test_wide_slots () =
+  let module Engine = Dgrace_core.Engine in
+  let module Spec = Dgrace_core.Spec in
+  let halves j = [ wr 1 ((8192 * j) + 16); wr 2 ((8192 * j) + 4096 + 16) ] in
+  let events =
+    [ fork 0 1; fork 0 2 ]
+    @ List.concat (List.init 8 halves)
+    @ [ wr 1 0x20000; wr 1 0x20100; acq 1; wr 1 0x30000; rel 1; acq 2;
+        wr 2 0x30010; rel 2 ]
+  in
+  let summary_lines (s : Engine.summary) =
+    List.map Dgrace_events.Report.to_string s.races
+  in
+  List.iter
+    (fun (granularity, expected) ->
+      let spec = Spec.Djit { granularity } in
+      let name = Spec.name spec in
+      let seq = Engine.replay ~spec (List.to_seq events) in
+      let sharded =
+        Engine.replay_sharded ~shards:2 ~spec (List.to_seq events)
+      in
+      Alcotest.(check int) (name ^ ": races") expected seq.race_count;
+      Alcotest.(check (list string)) (name ^ ": sharded K=2 = per-event")
+        (summary_lines seq) (summary_lines sharded);
+      Alcotest.(check int) (name ^ ": shard line covers a slot")
+        (Int.max 4096 granularity) (Spec.shard_granule spec))
+    [ (256, 0); (8192, 8) ]
+
 let suites : unit Alcotest.test list =
   [
     ( "djit.rules",
@@ -65,6 +98,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "sync edges" `Quick test_sync_edges;
         Alcotest.test_case "read shared" `Quick test_read_shared;
         Alcotest.test_case "granularity" `Quick test_granularity;
+        Alcotest.test_case "slots wider than a page or share line" `Quick
+          test_wide_slots;
       ] );
     ( "djit.memory",
       [

@@ -214,6 +214,84 @@ let test_split_rejects () =
     (fun () -> ignore (Trace_shard.split ~shards:2 ~granule:100 [||]))
 
 (* ------------------------------------------------------------------ *)
+(* streaming planner: [find] skips the union-find table while no weld
+   exists, so a weld planned after a query must still move the owner
+   of the lines it joins *)
+
+let plan_granule = 64
+let plan_lines = 32
+
+(* Reference routing: the union-find keeps the smaller root
+   of two welded super-granules, so a line's root is the least line id
+   of its super-granule, and the owner is [Hashtbl.hash root mod k]. *)
+let rec model_root m g = if m.(g) = g then g else model_root m m.(g)
+
+let model_weld m ~addr ~size =
+  let g0 = addr / plan_granule
+  and g1 = (addr + Int.max size 1 - 1) / plan_granule in
+  for g = g0 to g1 - 1 do
+    let a = model_root m g and b = model_root m (g + 1) in
+    m.(Int.max a b) <- Int.min a b
+  done
+
+let model_shard m ~shards addr =
+  Hashtbl.hash (model_root m (addr / plan_granule)) mod shards
+
+type plan_step = Weld of int * int | Query of int * int
+
+let plan_one p ~addr ~size =
+  let b = Batch.create ~capacity:2 () in
+  Batch.push b (Event.Access { tid = 0; kind = Write; addr; size; loc = "t" });
+  Batch.push b (Event.Release { tid = 0; lock = 1; sync = Event.Lock });
+  Trace_shard.plan_batch p b
+
+let run_plan_steps steps =
+  let p = Trace_shard.planner ~granule:plan_granule () in
+  (* welds start below [plan_lines] lines and span at most 200 bytes *)
+  let m = Array.init (2 * plan_lines) Fun.id in
+  List.for_all
+    (function
+      | Weld (addr, size) ->
+        plan_one p ~addr ~size;
+        model_weld m ~addr ~size;
+        true
+      | Query (addr, shards) ->
+        Trace_shard.plan_shard p ~shards addr = model_shard m ~shards addr)
+    steps
+
+let qcheck_plan_routing =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let span = plan_lines * plan_granule in
+    (* a small address pool, so the same lines are queried before and
+       after the welds that join them *)
+    let* pool = list_size (int_range 1 6) (int_bound (span - 1)) in
+    let step =
+      frequency
+        [
+          (3, map2 (fun a k -> Query (a, k)) (oneofl pool) (int_range 2 5));
+          ( 1,
+            map2
+              (fun a size -> Weld (a, size))
+              (int_bound (span - 1))
+              (oneof [ int_bound 8; int_range 60 200 ]) );
+        ]
+    in
+    list_size (int_range 1 40) step
+  in
+  let print steps =
+    String.concat "; "
+      (List.map
+         (function
+           | Weld (a, s) -> Printf.sprintf "weld %d+%d" a s
+           | Query (a, k) -> Printf.sprintf "query %d/%d" a k)
+         steps)
+  in
+  Test.make ~name:"plan_shard = reference routing across later welds"
+    ~count:300 (make ~print gen) run_plan_steps
+
+(* ------------------------------------------------------------------ *)
 (* budgets apply per shard, and the merged summary keeps the
    resilience contract: partial/degraded still flag exit 3 and races
    stay a lower bound *)
@@ -349,6 +427,10 @@ let suites : unit Alcotest.test list =
           test_split_straddle;
         Alcotest.test_case "invalid arguments rejected" `Quick
           test_split_rejects;
+      ] );
+    ( "par.plan",
+      [
+        QCheck_alcotest.to_alcotest qcheck_plan_routing;
       ] );
     ( "par.budget",
       [

@@ -448,6 +448,83 @@ let bitmap_model =
       done;
       !ok)
 
+(* [mark] ORs a chunk's bytes: per address for the head and tail that
+   do not fill a byte, a whole byte (4 addresses) for the body.
+   Against a per-address reference: marks start and end at any residue
+   mod 4 and mod 32, cross chunk boundaries (small blocks make those
+   frequent), often span more than 32 addresses, and may first fill
+   the whole window of the other plane, which must survive untouched.
+   [test_range] probes the endpoints of the range, so it is checked
+   against the reference at both ends. *)
+let marking_law =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let* block = oneofl [ 16; 64; 256; 1024 ] in
+    let window = 8 * block in
+    let gen_mark =
+      let* write = bool in
+      let* lo =
+        oneof
+          [
+            int_bound (4 * block);
+            (* just around a chunk boundary *)
+            map2
+              (fun c d -> Int.max 0 ((c * block) + d))
+              (int_range 1 4) (int_range (-40) 40);
+          ]
+      in
+      let* len =
+        oneof [ int_bound 8; int_range 9 40; int_range 33 (3 * block) ]
+      in
+      return (write, lo, Int.min window (lo + len))
+    in
+    let* preset = opt bool in
+    let* marks = list_size (int_range 1 12) gen_mark in
+    return (block, preset, marks)
+  in
+  let print (block, preset, marks) =
+    Printf.sprintf "block %d, preset %s, marks [%s]" block
+      (match preset with
+       | None -> "none"
+       | Some w -> if w then "write" else "read")
+      (String.concat "; "
+         (List.map
+            (fun (w, lo, hi) ->
+              Printf.sprintf "%s [%d, %d)" (if w then "w" else "r") lo hi)
+            marks))
+  in
+  Test.make ~name:"bitmap marking = per-address marking" ~count:300
+    (make ~print gen) (fun (block, preset, marks) ->
+      let window = 8 * block in
+      let b = Epoch_bitmap.create ~block () in
+      let reference = [| Array.make window false; Array.make window false |] in
+      let plane write = reference.(if write then 1 else 0) in
+      let mark write lo hi =
+        Epoch_bitmap.mark b ~write ~lo ~hi;
+        Array.fill (plane write) lo (hi - lo) true
+      in
+      Option.iter (fun write -> mark write 0 window) preset;
+      List.iter (fun (write, lo, hi) -> mark write lo hi) marks;
+      let ok = ref true in
+      List.iter
+        (fun write ->
+          let r = plane write in
+          for a = 0 to window - 1 do
+            if Epoch_bitmap.test b ~write a <> r.(a) then ok := false;
+            List.iter
+              (fun d ->
+                let hi = a + d in
+                if hi < window then begin
+                  let expect = r.(a) && r.(hi) in
+                  if Epoch_bitmap.test_range b ~write ~lo:a ~hi <> expect then
+                    ok := false
+                end)
+              [ 0; 1; 3; 7; 31; 33 ]
+          done)
+        [ false; true ];
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
 
@@ -508,6 +585,7 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "planes and reset" `Quick test_bitmap_planes;
           Alcotest.test_case "reset recycles chunks" `Quick test_bitmap_reset_recycles;
           QCheck_alcotest.to_alcotest bitmap_model;
+          QCheck_alcotest.to_alcotest marking_law;
         ] );
       ( "shadow.accounting",
         [ Alcotest.test_case "peaks and sharing" `Quick test_accounting_peaks ] );

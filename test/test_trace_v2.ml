@@ -183,6 +183,67 @@ let test_corrupt_block_offset () =
      Alcotest.failf "unstructured exception %s" (Printexc.to_string exn));
   Sys.remove path
 
+(* The decoder's location table starts at 64 entries and grows: 200
+   distinct labels, some reused across blocks, must come back as they
+   were written. *)
+let many_locs_events =
+  List.init 3000 (fun i ->
+      let loc = Printf.sprintf "site-%d" (i mod 200) in
+      Event.Access
+        {
+          tid = i mod 3;
+          kind = (if i mod 5 = 0 then Write else Read);
+          addr = 0x4000 + (8 * (i mod 97));
+          size = 4;
+          loc;
+        })
+
+let test_location_table_grows () =
+  let n, back = v2_roundtrip many_locs_events in
+  Alcotest.(check int) "count" (List.length many_locs_events) n;
+  Alcotest.(check (list string)) "identical" (strings many_locs_events)
+    (strings back)
+
+(* After a valid prefix that interned 200 locations (ids 0..199), a
+   block naming id 201 — one past the next fresh id — is corrupt.  The
+   error offset is the absolute position just past that id's varint:
+   prefix + 1-byte length prefix + the body up to and including it. *)
+let test_future_location_id () =
+  let path = tmp_file () in
+  let (), _ =
+    Trace_format_v2.to_file path (fun sink -> List.iter sink many_locs_events)
+  in
+  let prefix = In_channel.with_open_bin path In_channel.input_all in
+  let body = Buffer.create 16 in
+  let v = Trace_format.write_varint body in
+  (* one row: a 4-byte read by tid 0 of 0x40, then its location id *)
+  v 1;
+  Buffer.add_char body (Char.chr Trace_format.tag_read);
+  v 1;
+  v 0;
+  v 1;
+  v (2 * 0x40);
+  v 4;
+  v 1;
+  v 201;
+  let body = Buffer.contents body in
+  Alcotest.(check bool) "body length fits one varint byte" true
+    (String.length body < 0x80);
+  let block = String.make 1 (Char.chr (String.length body)) ^ body in
+  write_file path (prefix ^ block);
+  let expected = String.length prefix + String.length block in
+  (match Trace_format_v2.read_file path with
+   | _ -> Alcotest.fail "a location id from the future decoded"
+   | exception Error.E (Error.Corrupt_trace c) ->
+     Alcotest.(check int) "offset" expected c.offset;
+     Alcotest.(check int) "events read" (List.length many_locs_events)
+       c.events_read;
+     Alcotest.(check bool) "reason names the future id" true
+       (Astring_contains.contains c.reason "from the future")
+   | exception exn ->
+     Alcotest.failf "unstructured exception %s" (Printexc.to_string exn));
+  Sys.remove path
+
 (* qcheck laws (fixed seed in CI via QCHECK_SEED) *)
 
 let arb_events = QCheck.small_list Test_trace.arb_event
@@ -238,6 +299,10 @@ let suites : unit Alcotest.test list =
           test_truncate_every_offset;
         Alcotest.test_case "corrupt block offset" `Quick
           test_corrupt_block_offset;
+        Alcotest.test_case "location table grows" `Quick
+          test_location_table_grows;
+        Alcotest.test_case "location id from the future" `Quick
+          test_future_location_id;
         QCheck_alcotest.to_alcotest qcheck_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_v1_v2_agree;
         QCheck_alcotest.to_alcotest qcheck_batched_replay_identical;
