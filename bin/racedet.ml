@@ -797,10 +797,11 @@ let replay_cmd =
         && Budget.is_unlimited budget
         && sample_every = None && progress = None && tracer = None
       then
-        (* streaming sharded pipeline: planner prepass + decoder domain
-           + router + one detector domain per shard.  Per-event
-           machinery (budget/metrics/progress/tracer) needs the
-           materialised sharded path below. *)
+        (* streaming sharded pipeline on K domains: this domain
+           decodes, plans, routes and runs shard 0, K - 1 spawned
+           domains run the rest; a straddling row forces one planner
+           prepass.  Per-event machinery (budget/metrics/progress/
+           tracer) needs the materialised sharded path below. *)
         ( Engine.replay_sharded_pipelined ~suppression ~vc_intern ~shards ~spec
             path,
           0 )

@@ -683,6 +683,7 @@ let replay_sharded_pipelined ?slots ?(clock = Dgrace_obs.Clock.ns) ?suppression
   in
   let s = merge_sharded ~elapsed:(Unix.gettimeofday () -. t0) ~timeseries:None r in
   pipeline_gauges s.metrics pipe;
+  Metrics.set (Metrics.gauge s.metrics "par.replans") r.Par.replans;
   s
 
 (* ------------------------------------------------------------------ *)

@@ -251,18 +251,22 @@ val replay_sharded_pipelined :
   spec:Spec.t ->
   string ->
   summary
-(** Pipelined {e sharded} replay of a trace-v2 file: a sequential
-    planner prepass ({!Dgrace_trace.Trace_shard.planner}) learns the
-    straddle welds — and surfaces any [Corrupt_trace] at the
-    sequential offset — then a decoder domain streams blocks while the
-    calling domain routes rows into one bounded ring per shard and
-    [shards] detector domains drain them
-    ({!Dgrace_par.Par.analyze_pipelined}).  The merged summary is
+(** Pipelined {e sharded} replay of a trace-v2 file on exactly
+    [shards] domains ({!Dgrace_par.Par.analyze_pipelined}): the
+    calling domain decodes, plans and routes each block and runs shard
+    0's detector, and [shards - 1] spawned domains each drain one
+    bounded ring.  The planner prepass runs only when a row straddles
+    a line: that pass is abandoned, the whole file is planned, and the
+    rows are routed again ([par.replans] = 1).  The merged summary is
     bit-identical to {!replay_sharded} on races, stats, transitions
-    and exit code, and gains the same [pipeline.*] gauges as
-    {!replay_pipelined} on top of the [par.*] ones.  Per-event
-    machinery (budget, recorder, progress, tracer) is not offered on
-    this path — callers needing it use {!replay_sharded}.
+    and exit code, and a [Corrupt_trace] carries the sequential
+    offset.  It gains [pipeline.*] gauges on top of the [par.*] ones:
+    [pipeline.blocks] routed, [pipeline.decode_us] the caller's
+    decode + route time, [pipeline.decode_stall_us] the caller blocked
+    on full shard rings, [pipeline.detect_stall_us] the shards'
+    summed wait on empty ones.  Per-event machinery (budget,
+    recorder, progress, tracer) is not offered on this path — callers
+    needing it use {!replay_sharded}.
     [page_cluster] is ignored (see {!replay}).
     @raise Dgrace_resilience.Error.E on corrupt input.
     @raise Invalid_argument when [shards < 1]. *)

@@ -31,6 +31,7 @@ type result = {
   split_s : float;
   critical_path_s : float;
   elapsed_s : float;
+  replans : int;
 }
 
 (* Raised from the per-shard budget guard; never escapes this module. *)
@@ -73,6 +74,19 @@ let budget_guard (d : Detector.t) (b : Budget.t) ~degraded ~now_s ~t0 =
       if elapsed_s > limit_s then
         raise (Stop (Budget.Deadline { limit_s; elapsed_s }))
     | Some _ | None -> ()
+
+(* a finished shard's outcome; [busy_s] runs from [t0] *)
+let outcome ?stop ?(degraded = false) ?recorder index (d : Detector.t) ~events
+    ~t0 =
+  { index; detector = d; tagged_races = Report.Collector.tagged_races d.collector;
+    stop; degraded; events; busy_s = Unix.gettimeofday () -. t0; recorder }
+
+let result ?(replans = 0) ~plan ~split_s ~t0 outcomes =
+  let critical_path_s =
+    Array.fold_left (fun acc o -> Float.max acc o.busy_s) 0. outcomes
+  in
+  { plan; outcomes; split_s; critical_path_s;
+    elapsed_s = Unix.gettimeofday () -. t0; replans }
 
 (* Replay one shard's stream on a fresh detector, tagging every new
    race report with the global trace offset of the event that produced
@@ -170,17 +184,8 @@ let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
    | Some buf -> Span.span buf "shard.finish" d.finish
    | None -> d.finish ());
   (match recorder with Some r -> Recorder.flush r | None -> ());
-  let busy_s = Unix.gettimeofday () -. t0 in
-  {
-    index;
-    detector = d;
-    tagged_races = Report.Collector.tagged_races d.collector;
-    stop = !stop;
-    degraded = !degraded;
-    events = !delivered;
-    busy_s;
-    recorder;
-  }
+  outcome ?stop:!stop ~degraded:!degraded ?recorder index d ~events:!delivered
+    ~t0
 
 let analyze ?(mode = Parallel) ?(batched = true) ?budget
     ?(clock = Dgrace_obs.Clock.ns) ?progress ?tracer ?recorder_for ~make
@@ -231,173 +236,169 @@ let analyze ?(mode = Parallel) ?(batched = true) ?budget
     match mode with
     | Sequential -> Array.init shards run
     | Parallel ->
-      if shards = 1 then [| run 0 |]
-      else begin
-        let doms =
-          Array.init (shards - 1) (fun i ->
-              Domain.spawn (fun () -> run (i + 1)))
-        in
-        let first = run 0 in
-        Array.append [| first |] (Array.map Domain.join doms)
-      end
+      let doms =
+        Array.init (shards - 1) (fun i -> Domain.spawn (fun () -> run (i + 1)))
+      in
+      let first = run 0 in
+      Array.append [| first |] (Array.map Domain.join doms)
   in
   (match main with Some b -> Span.instant b "par.join" | None -> ());
-  let critical_path_s =
-    Array.fold_left (fun acc o -> Float.max acc o.busy_s) 0. outcomes
-  in
-  { plan; outcomes; split_s; critical_path_s;
-    elapsed_s = Unix.gettimeofday () -. t0 }
+  result ~plan ~split_s ~t0 outcomes
 
 (* ------------------------------------------------------------------ *)
-(* Pipelined sharded replay of a v2 trace file (doc/trace.md): one
-   decoder domain streams blocks into a ring, the calling domain
-   routes rows into per-shard rings of recycled batches, and [shards]
-   detector domains drain their rings through [process_batch].
-
-   Two streaming passes replace [split]'s two in-memory passes: a
-   sequential prepass folds the file once through a
-   {!Trace_shard.planner} (straddle welds + broadcast counts — and,
-   because it decodes the whole file, any [Corrupt_trace] surfaces
-   here with exactly the sequential offset, so the routed pass below
-   only ever sees a clean file), then the pipelined pass routes.
-   Routing, broadcast classes and row offsets match [split] exactly,
-   so the merged outcome is bit-identical to [analyze] — the engine
-   falls back to the materialised path whenever budgets, recorders,
-   progress or tracing need per-event semantics. *)
+(* Pipelined sharded replay of a v2 trace file on exactly [shards]
+   domains (doc/parallel.md).  Routing a row before the rest of the
+   file is planned is exact while no row straddles a line (every line
+   is its own root), so the first pass plans as it goes and is
+   abandoned at the first straddle; the whole file is then planned and
+   the same loop routes again.  Either way routing, broadcast classes
+   and row offsets are [split]'s. *)
 
 exception Router_stopped
+exception Replan
+
+module Ring = Dgrace_trace.Batch_ring
+
+(* [process_batch], or the tagged per-event fallback *)
+let batch_consumer (d : Detector.t) =
+  match d.process_batch with
+  | Some pb -> pb
+  | None ->
+    Dgrace_obs.Metrics.incr
+      (Dgrace_obs.Metrics.counter d.metrics "engine.batch_fallback");
+    fun b ->
+      for r = 0 to Batch.length b - 1 do
+        Report.Collector.set_tag d.collector b.Batch.off.(r);
+        d.on_event (Batch.event b r)
+      done
+
+(* one routing pass: outcomes and pipeline stats; [plan] makes it the
+   speculative pass *)
+let route_pass ~slots ~clock ~make ~k ~plan p path =
+  let rings = Array.init (k - 1) (fun _ -> Ring.create ~slots ~clock ()) in
+  let drain i ring () =
+    let t0 = Unix.gettimeofday () and events = ref 0 in
+    match
+      let d : Detector.t = make i in
+      let apply = batch_consumer d in
+      let rec go () =
+        match Ring.take ring with
+        | None -> d.finish (); d
+        | Some b ->
+          apply b;
+          events := !events + Batch.length b;
+          Ring.recycle ring b;
+          go ()
+      in
+      go ()
+    with
+    | d -> outcome i d ~events:!events ~t0
+    | exception exn ->
+      (* unblock the router, then let Domain.join surface this *)
+      Ring.abort ring;
+      raise exn
+  in
+  let doms = Array.mapi (fun i r -> Domain.spawn (drain (i + 1) r)) rings in
+  (* every domain is joined before the first failure is re-raised *)
+  let join_all () =
+    Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) doms
+    |> Array.map (function Ok o -> o | Error e -> raise e)
+  in
+  let run () =
+    let t0 = Unix.gettimeofday () and c0 = clock () in
+    let d0 : Detector.t = make 0 in
+    let apply0 = batch_consumer d0 in
+    let events0 = ref 0 and detect0_ns = ref 0 and blocks = ref 0 in
+    let acquire s =
+      match Ring.acquire rings.(s - 1) with
+      | Some b -> b
+      | None -> raise Router_stopped  (* that shard died; join says why *)
+    in
+    (* one staging batch per shard; shard 0's is applied here *)
+    let staging =
+      Array.init k (fun s -> if s = 0 then Batch.create () else acquire s)
+    in
+    let flush s =
+      let b = staging.(s) in
+      if s = 0 then begin
+        let c = clock () in
+        apply0 b;
+        detect0_ns := !detect0_ns + (clock () - c);
+        events0 := !events0 + Batch.length b;
+        Batch.clear b
+      end
+      else begin
+        Ring.publish rings.(s - 1) b;
+        staging.(s) <- acquire s
+      end
+    in
+    let stage s =
+      if Batch.is_full staging.(s) then flush s;
+      staging.(s)
+    in
+    let route () (b : Batch.t) =
+      incr blocks;
+      if plan then begin
+        Trace_shard.plan_batch p b;
+        if k > 1 && Trace_shard.straddling p > 0 then raise Replan
+      end;
+      for i = 0 to Batch.length b - 1 do
+        if b.Batch.kind.(i) <= Batch.code_write then
+          Batch.copy_row ~src:b i
+            ~dst:(stage (Trace_shard.plan_shard p ~shards:k b.Batch.b.(i)))
+        else
+          (* sync / alloc / free: broadcast, as [Trace_shard.split] does *)
+          for s = 0 to k - 1 do
+            Batch.copy_row ~src:b i ~dst:(stage s)
+          done
+      done
+    in
+    Dgrace_trace.Trace_format_v2.fold_batches path route ();
+    Array.iteri
+      (fun i ring ->
+        let b = staging.(i + 1) in
+        if Batch.length b > 0 then Ring.publish ring b else Ring.restore ring b;
+        Ring.close ring)
+      rings;
+    let route_ns = clock () - c0 - !detect0_ns in
+    if Batch.length staging.(0) > 0 then flush 0;
+    d0.finish ();
+    (outcome 0 d0 ~events:!events0 ~t0, !blocks, route_ns)
+  in
+  match run () with
+  | first, blocks, route_ns ->
+    let outcomes = Array.append [| first |] (join_all ()) in
+    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 rings in
+    let decode_stall_ns = sum Ring.decode_stall_ns in
+    ( outcomes,
+      { Dgrace_trace.Trace_pipeline.blocks; decode_stall_ns;
+        detect_stall_ns = sum Ring.detect_stall_ns;
+        decode_ns = route_ns - decode_stall_ns } )
+  | exception e ->
+    (* seal every ring so the shard domains drain out; a dead shard's
+       own failure is what [Router_stopped] stands for *)
+    Array.iter (fun r -> Ring.close r) rings;
+    (try ignore (join_all ())
+     with x -> ( match e with Router_stopped -> raise x | _ -> ()));
+    raise e
 
 let analyze_pipelined ?(slots = Dgrace_trace.Trace_pipeline.default_slots)
     ?(clock = Dgrace_obs.Clock.ns) ~make ~shards:k ~granule path =
-  let module Pipeline = Dgrace_trace.Trace_pipeline in
-  let module Ring = Dgrace_trace.Batch_ring in
   if k < 1 then invalid_arg "Par.analyze_pipelined: shards must be >= 1";
   let t0 = Unix.gettimeofday () in
-  (* prepass: weld + counts (and the corruption check) *)
-  let p = Trace_shard.planner ~granule () in
-  Dgrace_trace.Trace_format_v2.fold_batches path
-    (fun () b -> Trace_shard.plan_batch p b)
-    ();
-  let plan = Trace_shard.plan_stats p ~shards:k in
-  let split_s = Unix.gettimeofday () -. t0 in
-  (* per-shard rings and detector domains *)
-  let rings = Array.init k (fun _ -> Ring.create ~slots ~clock ()) in
-  let run_shard i =
-    let ring = rings.(i) in
-    let d : Detector.t = make i in
-    let t0 = Unix.gettimeofday () in
-    let delivered = ref 0 in
-    (try
-       let consume =
-         match d.process_batch with
-         | Some pb -> pb
-         | None ->
-           Dgrace_obs.Metrics.incr
-             (Dgrace_obs.Metrics.counter d.metrics "engine.batch_fallback");
-           fun b ->
-             for r = 0 to Dgrace_events.Batch.length b - 1 do
-               Report.Collector.set_tag d.collector b.Dgrace_events.Batch.off.(r);
-               d.on_event (Dgrace_events.Batch.event b r)
-             done
-       in
-       let rec drain () =
-         match Ring.take ring with
-         | None -> ()
-         | Some b ->
-           consume b;
-           delivered := !delivered + Dgrace_events.Batch.length b;
-           Ring.recycle ring b;
-           drain ()
-       in
-       drain ()
-     with exn ->
-       (* unblock the router, then let Domain.join surface this *)
-       Ring.abort ring;
-       raise exn);
-    d.finish ();
-    let busy_s = Unix.gettimeofday () -. t0 in
-    {
-      index = i;
-      detector = d;
-      tagged_races = Report.Collector.tagged_races d.collector;
-      stop = None;
-      degraded = false;
-      events = !delivered;
-      busy_s;
-      recorder = None;
-    }
+  let pass ~plan p = (p, route_pass ~slots ~clock ~make ~k ~plan p path) in
+  let (p, (outcomes, pipe)), split_s, replans =
+    match pass ~plan:true (Trace_shard.planner ~granule ()) with
+    | r -> (r, 0., 0)
+    | exception Replan ->
+      let p = Trace_shard.planner ~granule () in
+      Dgrace_trace.Trace_format_v2.fold_batches path
+        (fun () b -> Trace_shard.plan_batch p b)
+        ();
+      (pass ~plan:false p, Unix.gettimeofday () -. t0, 1)
   in
-  let doms = Array.init k (fun i -> Domain.spawn (fun () -> run_shard i)) in
-  (* router state: one staging batch per shard, acquired lazily *)
-  let staging : Dgrace_events.Batch.t option array = Array.make k None in
-  let stage s =
-    let fresh () =
-      match Ring.acquire rings.(s) with
-      | Some b ->
-        staging.(s) <- Some b;
-        b
-      | None -> raise Router_stopped  (* that shard died; join reports why *)
-    in
-    match staging.(s) with
-    | None -> fresh ()
-    | Some b ->
-      if Dgrace_events.Batch.is_full b then begin
-        Ring.publish rings.(s) b;
-        staging.(s) <- None;
-        fresh ()
-      end
-      else b
-  in
-  let route (b : Dgrace_events.Batch.t) =
-    let n = Dgrace_events.Batch.length b in
-    for i = 0 to n - 1 do
-      let kind = b.Dgrace_events.Batch.kind.(i) in
-      if kind <= Dgrace_events.Batch.code_write then
-        Dgrace_events.Batch.copy_row ~src:b i
-          ~dst:(stage (Trace_shard.plan_shard p ~shards:k
-                         b.Dgrace_events.Batch.b.(i)))
-      else
-        (* sync / alloc / free: broadcast, as [Trace_shard.split] does *)
-        for s = 0 to k - 1 do
-          Dgrace_events.Batch.copy_row ~src:b i ~dst:(stage s)
-        done
-    done
-  in
-  let finish_rings () =
-    Array.iteri
-      (fun s staged ->
-        (match staged with
-         | Some b when Dgrace_events.Batch.length b > 0 ->
-           Ring.publish rings.(s) b
-         | Some b -> Ring.restore rings.(s) b
-         | None -> ());
-        staging.(s) <- None;
-        Ring.close rings.(s))
-      staging
-  in
-  let pipe =
-    try
-      let pipe = Pipeline.feed ~slots ~clock path route in
-      finish_rings ();
-      pipe
-    with exn ->
-      (* router or decoder failed: seal the shard rings so every shard
-         domain drains out, then join to surface the real error *)
-      finish_rings ();
-      Array.iter (fun d -> try ignore (Domain.join d) with _ -> ()) doms;
-      raise exn
-  in
-  let outcomes = Array.map Domain.join doms in
-  let critical_path_s =
-    Array.fold_left (fun acc o -> Float.max acc o.busy_s) 0. outcomes
-  in
-  ( {
-      plan;
-      outcomes;
-      split_s;
-      critical_path_s;
-      elapsed_s = Unix.gettimeofday () -. t0;
-    },
+  ( result ~replans ~plan:(Trace_shard.plan_stats p ~shards:k) ~split_s ~t0
+      outcomes,
     pipe )
 
 let merged_stop r =

@@ -55,11 +55,14 @@ type shard_outcome = {
 type result = {
   plan : Dgrace_trace.Trace_shard.t;
   outcomes : shard_outcome array;  (** indexed by shard *)
-  split_s : float;  (** time spent routing the trace *)
+  split_s : float;
+      (** time spent routing the trace; in {!analyze_pipelined}, planning
+          it before the routing pass (0 unless a straddle forced it) *)
   critical_path_s : float;
       (** max per-shard [busy_s]: the analysis time a machine with
           [shards] free cores would observe *)
   elapsed_s : float;  (** wall-clock including split and joins *)
+  replans : int;  (** passes {!analyze_pipelined} abandoned: 0 or 1 *)
 }
 
 val analyze :
@@ -112,27 +115,22 @@ val analyze_pipelined :
   string ->
   result * Dgrace_trace.Trace_pipeline.stats
 (** [analyze_pipelined ~make ~shards ~granule path] is the streaming
-    pipelined counterpart of {!analyze} over a trace-v2 file: a
-    sequential prepass folds the file through a
-    {!Dgrace_trace.Trace_shard.planner} (straddle welds and broadcast
-    counts — and any [Corrupt_trace] surfaces here, with exactly the
-    sequential offset), then a decoder domain streams blocks through
-    {!Dgrace_trace.Trace_pipeline} while the calling domain routes
-    rows into one bounded {!Dgrace_trace.Batch_ring} of recycled
-    batches per shard ([slots] buffers each, default
-    {!Dgrace_trace.Trace_pipeline.default_slots}) and [shards]
-    detector domains drain their rings via [process_batch] (or the
-    tagged per-event fallback).  Routing and broadcast classes match
-    {!Dgrace_trace.Trace_shard.split} exactly, so the merged outcome
-    is bit-identical to {!analyze} on the same trace.  Per-event
-    machinery (budgets, recorders, progress, tracing) is not offered
-    here — callers needing it use the materialised {!analyze} path.
-    [clock] feeds the rings' stall accounting; the summed stalls come
-    back in the pipeline stats.
+    counterpart of {!analyze} over a trace-v2 file, on exactly
+    [shards] domains: the calling domain decodes, plans
+    ({!Dgrace_trace.Trace_shard.plan_batch}) and routes each block and
+    runs shard 0, and [shards - 1] spawned domains each drain one
+    bounded {!Dgrace_trace.Batch_ring} ([slots] buffers, default
+    {!Dgrace_trace.Trace_pipeline.default_slots}).  A straddling row
+    abandons that pass; the whole file is then planned and routed
+    again ([replans] = 1).  Routing matches
+    {!Dgrace_trace.Trace_shard.split}, so the merged outcome is
+    bit-identical to {!analyze}.  Budgets, recorders, progress and
+    tracing are not offered here.  [clock] times the returned stats.
     @raise Invalid_argument if [shards < 1] or [granule] is not a
     power of two.
     @raise Dgrace_resilience.Error.Corrupt_trace as the sequential
-    reader would, at the same offset. *)
+    reader would, at the same offset, after every shard domain was
+    joined. *)
 
 (** {1 Merge helpers} *)
 

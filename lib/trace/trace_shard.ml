@@ -75,13 +75,13 @@ let batches_of ?(capacity = Batch.default_capacity) stream =
       done;
       b)
 
-(* Streaming planner: the prepass of the pipelined sharded replay.
-   [plan_batch] folds decoded batches (no event materialisation),
-   welding straddle-linked granules and counting the broadcast
-   classes; [plan_shard] then answers the routing question for the
-   second pass, and [plan_stats] freezes the counts into a [t] (with
-   empty per-shard streams — the pipelined path never materialises
-   them) for the same merge bookkeeping [split] feeds. *)
+(* Streaming planner of the pipelined sharded replay.  [plan_batch]
+   folds decoded batches (no event materialisation), welding
+   straddle-linked granules and counting the broadcast classes;
+   [plan_shard] answers the routing question, and [plan_stats] freezes
+   the counts into a [t] (with empty per-shard streams — the pipelined
+   path never materialises them) for the same merge bookkeeping
+   [split] feeds. *)
 
 type planner = {
   p_gshift : int;
@@ -129,6 +129,8 @@ let plan_batch p (b : Batch.t) =
     else if k = Batch.code_free then p.p_frees <- p.p_frees + 1
     else p.p_sync_ops <- p.p_sync_ops + 1
   done
+
+let straddling p = p.p_straddling
 
 let plan_shard p ~shards:k addr =
   if k = 1 then 0

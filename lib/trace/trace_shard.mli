@@ -40,11 +40,13 @@ val batches_of : ?capacity:int -> (int * Event.t) array -> Batch.t array
     [process_batch] fast path; stream offsets become the batch [off]
     column, so race attribution is unchanged. *)
 
-(** {1 Streaming planner} — the prepass of the pipelined sharded
-    replay ({!Trace_pipeline}): fold decoded batches once to learn the
-    straddle welds and broadcast counts, then route a second streaming
-    pass with {!plan_shard}.  Routing agrees exactly with {!split} on
-    the same stream (same union-find, same [Hashtbl.hash]). *)
+(** {1 Streaming planner} — the router of the pipelined sharded
+    replay ([Dgrace_par.Par.analyze_pipelined]): fold decoded batches
+    to learn the straddle welds and broadcast counts, and route rows
+    with {!plan_shard}.  Once every batch was planned, routing agrees
+    exactly with {!split} on the same stream (same union-find, same
+    [Hashtbl.hash]).  Before that, it agrees as long as no row of the
+    stream straddles: every line is then its own root. *)
 
 type planner
 
@@ -55,9 +57,14 @@ val plan_batch : planner -> Batch.t -> unit
 (** Fold one decoded batch: weld straddle-linked granule lines, count
     sync/alloc/free rows. *)
 
+val straddling : planner -> int
+(** Rows planned so far that straddled a line boundary.  The first
+    one may move lines routed earlier, so a router that plans as it
+    goes must restart once this is non-zero. *)
+
 val plan_shard : planner -> shards:int -> int -> int
-(** [plan_shard p ~shards addr] — the owning shard of [addr], after
-    every batch was planned.  Deterministic. *)
+(** [plan_shard p ~shards addr] — the owning shard of [addr] under the
+    welds planned so far.  Deterministic. *)
 
 val plan_stats : planner -> shards:int -> t
 (** Freeze the planner into a {!t} carrying the counts the merge

@@ -177,6 +177,15 @@ let test_feed_matches_fold () =
 (* ------------------------------------------------------------------ *)
 (* engine-level differential on the corpus, sequential and sharded *)
 
+let sharded_gauges =
+  [
+    "pipeline.blocks";
+    "pipeline.decode_us";
+    "pipeline.decode_stall_us";
+    "pipeline.detect_stall_us";
+    "par.replans";
+  ]
+
 let diff_corpus name () =
   let path = corpus name in
   let events = Trace_format_v2.read_file path in
@@ -197,9 +206,64 @@ let diff_corpus name () =
             Printf.sprintf "%s %s sharded=%d pipelined" name (Spec.name spec)
               shards
           in
-          check_equivalent ~ctx base sp)
+          check_equivalent ~ctx base sp;
+          List.iter
+            (fun g ->
+              Alcotest.(check bool) (ctx ^ ": " ^ g ^ " gauge") true
+                (List.mem_assoc g (Metrics.gauges sp.metrics)))
+            sharded_gauges)
         [ 1; 4 ])
     [ Spec.dynamic; Spec.word ]
+
+(* The sharded pipeline plans as it routes and restarts behind a full
+   planner prepass only when a row straddles a line ([par.replans]).
+   Either way it equals the per-event reference and the materialised
+   sharded replay, at every shard count. *)
+let test_sharded_replan () =
+  List.iter
+    (fun name ->
+      let path = corpus name in
+      let events = Trace_format_v2.read_file path in
+      let reference = Engine.replay ~spec:Spec.dynamic (List.to_seq events) in
+      List.iter
+        (fun shards ->
+          let ctx = Printf.sprintf "%s sharded=%d" name shards in
+          let base =
+            Engine.replay_sharded ~shards ~spec:Spec.dynamic
+              (List.to_seq events)
+          in
+          let sp = Engine.replay_sharded_pipelined ~shards ~spec:Spec.dynamic path in
+          check_equivalent ~ctx:(ctx ^ " vs per-event") reference sp;
+          check_equivalent ~ctx:(ctx ^ " vs materialised") base sp;
+          (* the corpus names its cases: only [straddle] straddles *)
+          Alcotest.(check int) (ctx ^ ": par.replans")
+            (if shards > 1 && name = "straddle" then 1 else 0)
+            (List.assoc "par.replans" (Metrics.gauges sp.metrics)))
+        [ 1; 2; 3; 4 ])
+    corpus_names
+
+(* K shards run on the calling domain plus K - 1 spawned ones; an
+   abandoned first pass spawns its K - 1 once more.  Domain ids are
+   handed out in spawn order, so two probes bracket the count. *)
+let test_sharded_domain_count () =
+  let probe () =
+    Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+  in
+  List.iter
+    (fun (name, replans) ->
+      List.iter
+        (fun shards ->
+          let before = probe () in
+          ignore
+            (Engine.replay_sharded_pipelined ~shards ~spec:Spec.dynamic
+               (corpus name));
+          let spawned = probe () - before - 1 in
+          Alcotest.(check int)
+            (Printf.sprintf "%s sharded=%d: domains spawned" name shards)
+            ((shards - 1) * (1 + if shards > 1 then replans else 0))
+            spawned)
+        [ 1; 2; 3; 4 ])
+    [ ("racy", 0); ("clean", 0); ("straddle", 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* corruption: every truncation offset, pipelined = sequential *)
@@ -228,6 +292,30 @@ let test_truncate_every_offset_pipelined () =
   for cut = 0 to String.length full - 1 do
     write_file cut_path (String.sub full 0 cut);
     let seq = cut_outcome fold_feed cut_path in
+    (* the sharded pipeline: same error, or equivalent races on a clean
+       cut.  A shard domain left blocked at a cut would pile up across
+       the sweep until [Domain.spawn] runs out of domains. *)
+    let sharded =
+      match Engine.replay_sharded_pipelined ~shards:2 ~spec:Spec.dynamic cut_path with
+      | s -> Ok s
+      | exception Error.E e -> Error e
+    in
+    (match (seq, sharded) with
+     | Clean _, Ok s ->
+       check_equivalent
+         ~ctx:(Printf.sprintf "cut at %d: sharded" cut)
+         (Engine.replay_batches ~spec:Spec.dynamic (fold_feed cut_path))
+         s
+     | Corrupt (_, o, e), Error (Error.Corrupt_trace c) ->
+       Alcotest.(check (pair int int))
+         (Printf.sprintf "cut at %d: sharded offset, events_read" cut)
+         (o, e)
+         (c.offset, c.events_read)
+     | Corrupt _, Ok _ ->
+       Alcotest.failf "cut at %d: sharded replay read a corrupt prefix" cut
+     | _, Error e ->
+       Alcotest.failf "cut at %d: sharded replay failed: %s" cut
+         (Error.to_string e));
     let pipe =
       cut_outcome (fun p consume -> ignore (Trace_pipeline.feed p consume))
         cut_path
@@ -436,6 +524,10 @@ let suites : unit Alcotest.test list =
             test_corrupt_corpus_error_identity;
           Alcotest.test_case "budget stop identity" `Quick
             test_budget_stop_identity;
+          Alcotest.test_case "sharded replan only on a straddle" `Quick
+            test_sharded_replan;
+          Alcotest.test_case "sharded runs on K domains" `Quick
+            test_sharded_domain_count;
           QCheck_alcotest.to_alcotest qcheck_batched_law;
           QCheck_alcotest.to_alcotest qcheck_pipelined_identical;
         ] );
