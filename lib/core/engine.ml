@@ -82,138 +82,11 @@ let sampler_sources (d : Detector.t) =
     ("races", fun () -> Report.Collector.count d.collector);
   ]
 
-(* Raised from the sink when a budget limit is breached: unwinds
-   [Sim.run] (any suspended thread continuations are simply collected
-   by the GC) or the replay loop, and is converted to the [partial]
-   field of the summary.  Never escapes this module. *)
-exception Stop of Budget.stop
-
-(* Enforce the budget after each delivered event.  Shadow pressure is
-   answered by asking the detector to degrade — one shedding step at a
-   time — and only stops the run once the detector can shed nothing
-   more and the accounting is still over the cap.  The deadline is
-   polled every 256 events to keep the clock read off the hot path;
-   [now_s] comes from the caller's {!Dgrace_obs.Clock.source} so
-   deadline behaviour is testable on a mock clock.  [note] marks each
-   shedding pass on the trace timeline. *)
-let budget_guard ?(note = fun () -> ()) (d : Detector.t) (b : Budget.t)
-    ~degraded ~now_s ~t0 =
-  let events = ref 0 in
-  let over limit = Accounting.current_bytes d.account > limit in
-  let rec shed limit =
-    if over limit then
-      match d.degrade with
-      | Some step when step () ->
-        degraded := true;
-        note ();
-        shed limit
-      | Some _ | None ->
-        raise
-          (Stop
-             (Budget.Shadow_bytes
-                { limit; bytes = Accounting.current_bytes d.account }))
-  in
-  fun () ->
-    incr events;
-    (match b.Budget.max_events with
-     | Some limit when !events >= limit ->
-       raise (Stop (Budget.Max_events { limit }))
-     | Some _ | None -> ());
-    (match b.Budget.max_shadow_bytes with
-     | Some limit -> if over limit then shed limit
-     | None -> ());
-    match b.Budget.deadline_s with
-    | Some limit_s when !events land 255 = 0 ->
-      let elapsed_s = now_s () -. t0 in
-      if elapsed_s > limit_s then
-        raise (Stop (Budget.Deadline { limit_s; elapsed_s }))
-    | Some _ | None -> ()
-
-(* Compose the detector sink with budget checks, recorder ticks, the
-   progress heartbeat and the tracing timer; when none are requested
-   the sink is the detector's own handler and the event loop pays
-   nothing.  The progress period is validated by the CLI (its
-   [--progress-every] parser rejects non-positive values), so it is
-   taken as given here.
-
-   A traced sink samples one event in [dispatch_stride]: only that
-   event is dispatched with the lane armed (timing the dispatch and
-   letting the detector's gated phase timers run), so the other
-   [dispatch_stride - 1] events pay one counter and one branch — the
-   mechanism behind the bench's tracing-overhead budget.  [exact]
-   states whether the recorder's samples are observable output
-   ([sample_every] was given): an exact recorder is ticked once per
-   event; a recorder that exists only to feed counter tracks is
-   batch-ticked on sampled events. *)
-let dispatch_stride = 64
-
-let make_sink (d : Detector.t) ~budget ~recorder ~exact ~progress ~lane =
-  let guard =
-    match budget with
-    | Some (b, degraded, now_s, t0) when not (Budget.is_unlimited b) ->
-      let note =
-        match lane with
-        | Some buf -> fun () -> Span.instant buf "budget.degrade"
-        | None -> fun () -> ()
-      in
-      Some (budget_guard ~note d b ~degraded ~now_s ~t0)
-    | Some _ | None -> None
-  in
-  match (guard, recorder, progress, lane) with
-  | None, None, None, None -> d.on_event
-  | None, _, None, Some buf when not exact ->
-    (* the [--trace-out]-only shape (no budget, no heartbeat, no
-       [--metrics-out]): the whole traced loop is the dispatch
-       wrapper, with the counter-track recorder batch-ticked on
-       sampled events *)
-    let on_sample =
-      match recorder with
-      | Some r -> fun () -> Recorder.tick_n r dispatch_stride
-      | None -> fun () -> ()
-    in
-    Span.wrap_dispatch buf ~name:"detector.on_event" ~stride:dispatch_stride
-      ~on_sample d.on_event
-  | _ ->
-    let on_event =
-      match lane with
-      | None -> d.on_event
-      | Some buf ->
-        (* per-event attribution cheap enough for the hot loop: the
-           sampled dispatch wrapper, not a span per event *)
-        Span.wrap_dispatch buf ~name:"detector.on_event"
-          ~stride:dispatch_stride
-          ~on_sample:(fun () -> ())
-          d.on_event
-    in
-    let events = ref 0 in
-    let progress_tick =
-      match progress with
-      | None -> fun (_ : int) -> ()
-      | Some (every, f) -> fun n -> if n mod every = 0 then f n
-    in
-    fun ev ->
-      on_event ev;
-      (match guard with Some g -> g () | None -> ());
-      (match recorder with Some r -> Recorder.tick r | None -> ());
-      incr events;
-      progress_tick !events
-
 (* Accumulate pushed events into one reused batch and hand full
    batches to the detector's [process_batch] — the batched shape of a
-   push-style source (the simulator, a v1 event sequence).  Only used
-   when nothing per-event is observable (no budget, recorder, progress
-   or lane), so the fallback per-event loop keeps those semantics
-   bit-exact.  [off] is the running event index: the same monotone
-   order key the shard splitter and the v2 decoder use. *)
-(* A batched run that had to unroll to the per-event loop (no
-   [process_batch], or a budget/recorder/progress/lane forcing exact
-   per-event semantics) is surfaced as the [engine.batch_fallback]
-   counter in the detector's registry: once per run for the push-style
-   entry points, once per unrolled batch in [replay_batches].  Silent
-   unrolling made sampling-detector slowdowns invisible. *)
-let note_batch_fallback (d : Detector.t) =
-  Metrics.incr (Metrics.counter d.Detector.metrics "engine.batch_fallback")
-
+   push-style source (the simulator, a v1 event sequence).  [off] is
+   the running event index: the same monotone order key the shard
+   splitter and the v2 decoder use. *)
 let batching_sink pb =
   let batch = Batch.create () in
   let n = ref 0 in
@@ -260,36 +133,78 @@ let feed_counter_tracks ~tracer ~prefix recorder =
 let seconds_of clock =
   fun () -> float_of_int (clock ()) *. 1e-9
 
-let with_detector ?policy ?(batched = false) ?(budget = Budget.unlimited)
+(* The CLI heartbeat [(every, f)]: [f n] after every [every]th event. *)
+let heartbeat (every, f) =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    if !n mod every = 0 then f !n
+
+let detector ?suppression ?vc_intern ~tracer spec =
+  Spec.to_detector ?suppression ?vc_intern ?tracer:(Option.map Span.main tracer)
+    spec
+
+(* What a sequential run consumes: pushed events (the simulator, an
+   event sequence) or pushed batches (decoded v2 blocks, a pipeline). *)
+type source =
+  | Events of ((Event.t -> unit) -> Sim.result option)
+  | Batches of ((Batch.t -> unit) -> unit)
+
+(* The one sequential driver.  Events and batches go through the
+   governed path ({!Governed}): the budget guard, recorder, heartbeat
+   and tracing lane compose into one per-event sink, and the batch
+   kernel runs only when none of them is in play.  A batched run that
+   unrolls to the per-event loop counts on [engine.batch_fallback]:
+   once per run for pushed events ([batched] only), once per unrolled
+   batch for a batch source.  A budget stop unwinds the source
+   ([Sim.run]'s suspended threads are simply collected by the GC) and
+   becomes the summary's [partial]; [span] names the run's span on the
+   main lane. *)
+let drive ~span ?(batched = false) ?(budget = Budget.unlimited)
     ?(clock = Dgrace_obs.Clock.ns) ?sample_every ?progress ?tracer
-    (d : Detector.t) program =
+    (d : Detector.t) source =
   let lane = Option.map Span.main tracer in
   let recorder = make_recorder d ~sample_every ~tracer in
   let now_s = seconds_of clock in
   let t0 = now_s () in
   let degraded = ref false in
-  let sink, flush =
-    match d.Detector.process_batch with
-    | Some pb
-      when batched && Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      batching_sink pb
-    | _ ->
-      if batched then note_batch_fallback d;
-      ( make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane,
-        fun () -> () )
+  let o =
+    {
+      Governed.guard =
+        Governed.guard
+          ?note:(Option.map (fun b () -> Span.instant b "budget.degrade") lane)
+          d budget ~degraded ~now_s ~t0 ();
+      recorder;
+      exact = sample_every <> None;
+      progress = Option.map heartbeat progress;
+      lane;
+    }
   in
-  (match lane with Some b -> Span.begin_span b "engine.run" | None -> ());
+  let run () =
+    match source with
+    | Batches feed ->
+      feed (Governed.consumer d o);
+      None
+    | Events push -> (
+      match if batched then Governed.kernel d o else None with
+      | Some pb ->
+        let sink, flush = batching_sink pb in
+        let sim = push sink in
+        flush ();
+        sim
+      | None ->
+        if batched then Governed.note_fallback d;
+        push (Governed.sink d o))
+  in
+  (match lane with Some b -> Span.begin_span b span | None -> ());
   let sim, partial =
-    match Sim.run ?policy ~sink program with
-    | sim -> (Some sim, None)
-    | exception Stop stop ->
+    match run () with
+    | sim -> (sim, None)
+    | exception Budget.Stop stop ->
       (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
       (None, Some stop)
   in
-  flush ();
-  (match lane with Some b -> Span.end_span b "engine.run" | None -> ());
+  (match lane with Some b -> Span.end_span b span | None -> ());
   (match lane with
    | Some b -> Span.span b "engine.finish" d.finish
    | None -> d.finish ());
@@ -299,100 +214,35 @@ let with_detector ?policy ?(batched = false) ?(budget = Budget.unlimited)
   let timeseries = match sample_every with Some _ -> recorder | None -> None in
   summarize d ~elapsed ~sim ~partial ~degraded:!degraded ~timeseries
 
+let with_detector ?policy ?batched ?budget ?clock ?sample_every ?progress
+    ?tracer d program =
+  drive ~span:"engine.run" ?batched ?budget ?clock ?sample_every ?progress
+    ?tracer d
+    (Events (fun sink -> Some (Sim.run ?policy ~sink program)))
+
 let run ?policy ?batched ?budget ?clock ?suppression ?vc_intern ?sample_every
     ?progress ?tracer ~spec program =
   with_detector ?policy ?batched ?budget ?clock ?sample_every ?progress ?tracer
-    (Spec.to_detector ?suppression ?vc_intern
-       ?tracer:(Option.map Span.main tracer) spec)
+    (detector ?suppression ?vc_intern ~tracer spec)
     program
 
-let replay ?(batched = false) ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster:_
+let replay ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster:_
     ?sample_every ?progress ?tracer ~spec events =
-  let lane = Option.map Span.main tracer in
-  let d = Spec.to_detector ?suppression ?vc_intern ?tracer:lane spec in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
-  let degraded = ref false in
-  let sink, flush =
-    match d.Detector.process_batch with
-    | Some pb
-      when batched && Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      batching_sink pb
-    | _ ->
-      if batched then note_batch_fallback d;
-      ( make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane,
-        fun () -> () )
-  in
-  (match lane with Some b -> Span.begin_span b "engine.replay" | None -> ());
-  let partial =
-    match Seq.iter sink events with
-    | () -> None
-    | exception Stop stop ->
-      (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
-      Some stop
-  in
-  flush ();
-  (match lane with Some b -> Span.end_span b "engine.replay" | None -> ());
-  (match lane with
-   | Some b -> Span.span b "engine.finish" d.finish
-   | None -> d.finish ());
-  Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
+  drive ~span:"engine.replay" ?batched ?budget ?clock ?sample_every ?progress
+    ?tracer
+    (detector ?suppression ?vc_intern ~tracer spec)
+    (Events
+       (fun sink ->
+         Seq.iter sink events;
+         None))
 
 (* Batched replay proper: the producer pushes whole {!Batch.t} buffers
-   (decoded v2 blocks, pre-split shard batches).  An eligible detector
-   consumes them through [process_batch]; otherwise — or under any
-   budget, recorder, progress or tracer — each batch is unrolled
-   through the same composed per-event sink as {!replay}, preserving
-   those semantics exactly. *)
-let replay_batches ?(budget = Budget.unlimited) ?(clock = Dgrace_obs.Clock.ns)
-    ?suppression ?vc_intern ?page_cluster:_ ?sample_every ?progress ?tracer
-    ~spec feed =
-  let lane = Option.map Span.main tracer in
-  let d = Spec.to_detector ?suppression ?vc_intern ?tracer:lane spec in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
-  let degraded = ref false in
-  let consume =
-    match d.Detector.process_batch with
-    | Some pb
-      when Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      pb
-    | _ ->
-      let sink =
-        make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane
-      in
-      fun b ->
-        note_batch_fallback d;
-        Batch.iter_events sink b
-  in
-  (match lane with Some b -> Span.begin_span b "engine.replay" | None -> ());
-  let partial =
-    match feed consume with
-    | () -> None
-    | exception Stop stop ->
-      (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
-      Some stop
-  in
-  (match lane with Some b -> Span.end_span b "engine.replay" | None -> ());
-  (match lane with
-   | Some b -> Span.span b "engine.finish" d.finish
-   | None -> d.finish ());
-  Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
+   (decoded v2 blocks, pre-split shard batches). *)
+let replay_batches ?budget ?clock ?suppression ?vc_intern ?page_cluster:_
+    ?sample_every ?progress ?tracer ~spec feed =
+  drive ~span:"engine.replay" ?budget ?clock ?sample_every ?progress ?tracer
+    (detector ?suppression ?vc_intern ~tracer spec)
+    (Batches feed)
 
 (* ------------------------------------------------------------------ *)
 (* sharded replay (doc/parallel.md): split the trace by address line,
@@ -526,10 +376,12 @@ let merge_sharded ~elapsed ~timeseries (r : Par.result) =
     timeseries;
   }
 
-let replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
-    ?sample_every ?progress ?tracer ~shards ~spec events =
+let replay_sharded ?mode ?batched ?budget ?(clock = Dgrace_obs.Clock.ns)
+    ?suppression ?vc_intern ?sample_every ?progress ?tracer ~shards ~spec
+    events =
   if shards < 1 then invalid_arg "Engine.replay_sharded: shards must be >= 1";
-  let t0 = Unix.gettimeofday () in
+  let now_s = seconds_of clock in
+  let t0 = now_s () in
   (* materialise first: the splitter needs two passes, and forcing the
      sequence here surfaces corrupt-trace errors before any domain is
      spawned *)
@@ -541,55 +393,26 @@ let replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
       ?tracer:(Option.map (fun t -> Span.lane t (Par.shard_lane i)) tracer)
       spec
   in
-  let recorder_for =
-    match
-      (match (sample_every, tracer) with
-       | Some every, _ -> Some every
-       | None, Some _ -> Some 1024
-       | None, None -> None)
-    with
-    | None -> None
-    | Some every ->
-      Some
-        (fun (_ : int) (d : Detector.t) ->
-          Some (Recorder.create ~every ~sources:(sampler_sources d) ()))
-  in
-  let budget =
-    match budget with
-    | Some b when not (Budget.is_unlimited b) -> Some b
-    | Some _ | None -> None
-  in
   let r =
-    Par.analyze ?mode ?batched ?budget ?clock ?progress ?tracer ?recorder_for
+    Par.analyze ?mode ?batched ?budget ~clock ?progress ?tracer
+      ~recorder_for:(fun _ d -> make_recorder d ~sample_every ~tracer)
       ~make ~shards ~granule:(Spec.shard_granule spec) events
   in
-  let recorders =
-    Array.to_list r.Par.outcomes
-    |> List.filter_map (fun (o : Par.shard_outcome) -> o.Par.recorder)
-  in
-  (match tracer with
-   | Some t ->
-     Array.iter
-       (fun (o : Par.shard_outcome) ->
-         match o.Par.recorder with
-         | Some rc ->
-           List.iter
-             (fun (nm, series) ->
-               Span.add_counter_series t
-                 ~name:(Printf.sprintf "%s.%s" (Par.shard_lane o.Par.index) nm)
-                 series)
-             (Recorder.counter_series rc)
-         | None -> ())
-       r.Par.outcomes
-   | None -> ());
+  Array.iter
+    (fun (o : Par.shard_outcome) ->
+      feed_counter_tracks ~tracer ~prefix:(Par.shard_lane o.index) o.recorder)
+    r.outcomes;
   (* same rule as the sequential entry points: the merged time-series
      reaches the summary only when the caller asked for one *)
   let timeseries =
     match sample_every with
-    | Some _ -> Recorder.merged_final recorders
+    | Some _ ->
+      Recorder.merged_final
+        (Array.to_list r.outcomes
+        |> List.filter_map (fun (o : Par.shard_outcome) -> o.recorder))
     | None -> None
   in
-  merge_sharded ~elapsed:(Unix.gettimeofday () -. t0) ~timeseries r
+  merge_sharded ~elapsed:(now_s () -. t0) ~timeseries r
 
 (* ------------------------------------------------------------------ *)
 (* pipelined replay (doc/trace.md): decode on its own domain, detect
@@ -613,75 +436,32 @@ let pipeline_gauges metrics (p : Trace_pipeline.stats) =
     (Metrics.gauge metrics "pipeline.decode_us")
     (usec p.Trace_pipeline.decode_ns)
 
-let replay_pipelined ?slots ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster:_
-    ?sample_every ?progress ?tracer ~spec path =
-  let lane = Option.map Span.main tracer in
-  let d = Spec.to_detector ?suppression ?vc_intern ?tracer:lane spec in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
-  let degraded = ref false in
-  let consume =
-    match d.Detector.process_batch with
-    | Some pb
-      when Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      pb
-    | _ ->
-      let sink =
-        make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane
-      in
-      fun b ->
-        note_batch_fallback d;
-        Batch.iter_events sink b
-  in
+let replay_pipelined ?slots ?budget ?(clock = Dgrace_obs.Clock.ns) ?suppression
+    ?vc_intern ?page_cluster:_ ?sample_every ?progress ?tracer ~spec path =
+  let d = detector ?suppression ?vc_intern ~tracer spec in
   (* the decoder domain lands its block decodes on a "decoder" lane, so
      [racedet timings] shows the decode-vs-detect split side by side *)
-  let span =
-    Option.map
-      (fun t ->
-        let dl = Span.lane t "decoder" in
-        fun name f -> Span.span dl name f)
-      tracer
-  in
-  let consumer_span =
-    Option.map (fun b -> fun name f -> Span.span b name f) lane
-  in
-  (match lane with Some b -> Span.begin_span b "engine.replay" | None -> ());
-  let pipe = ref None in
-  let partial =
-    match Trace_pipeline.feed ?slots ~clock ?span ?consumer_span path consume with
-    | stats ->
-      pipe := Some stats;
-      None
-    | exception Stop stop ->
-      (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
-      Some stop
-  in
-  Option.iter (pipeline_gauges d.Detector.metrics) !pipe;
-  (match lane with Some b -> Span.end_span b "engine.replay" | None -> ());
-  (match lane with
-   | Some b -> Span.span b "engine.finish" d.finish
-   | None -> d.finish ());
-  Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
+  let on_lane b = fun name f -> Span.span b name f in
+  let span = Option.map (fun t -> on_lane (Span.lane t "decoder")) tracer in
+  let consumer_span = Option.map (fun t -> on_lane (Span.main t)) tracer in
+  drive ~span:"engine.replay" ?budget ~clock ?sample_every ?progress ?tracer d
+    (Batches
+       (fun consume ->
+         pipeline_gauges d.metrics
+           (Trace_pipeline.feed ?slots ~clock ?span ?consumer_span path consume)))
 
 let replay_sharded_pipelined ?slots ?(clock = Dgrace_obs.Clock.ns) ?suppression
     ?vc_intern ?page_cluster:_ ~shards ~spec path =
   if shards < 1 then
     invalid_arg "Engine.replay_sharded_pipelined: shards must be >= 1";
-  let t0 = Unix.gettimeofday () in
+  let now_s = seconds_of clock in
+  let t0 = now_s () in
   let make (_ : int) = Spec.to_detector ?suppression ?vc_intern spec in
   let r, pipe =
     Par.analyze_pipelined ?slots ~clock ~make ~shards
       ~granule:(Spec.shard_granule spec) path
   in
-  let s = merge_sharded ~elapsed:(Unix.gettimeofday () -. t0) ~timeseries:None r in
+  let s = merge_sharded ~elapsed:(now_s () -. t0) ~timeseries:None r in
   pipeline_gauges s.metrics pipe;
   Metrics.set (Metrics.gauge s.metrics "par.replans") r.Par.replans;
   s

@@ -17,8 +17,12 @@
       List.iter (fun r -> print_endline (Report.to_string r)) summary.races
     ]}
 
-    {b Resource budgets.}  Every entry point takes an optional
-    {!Dgrace_resilience.Budget.t}.  Exceeding the shadow-memory cap
+    {b Resource budgets.}  Every entry point except
+    {!replay_sharded_pipelined} takes an optional
+    {!Dgrace_resilience.Budget.t} ([racedet replay] sends a budgeted
+    sharded run to {!replay_sharded} instead).  One guard
+    ({!Dgrace_resilience.Budget.guard}) enforces it on every path, per
+    run or, when sharded, per shard.  Exceeding the shadow-memory cap
     first asks the detector to degrade (shed shadow state; the summary
     is flagged [degraded]); exceeding the event or wall-clock cap —
     or the shadow cap once degradation is exhausted — ends the run

@@ -1,6 +1,5 @@
 open Dgrace_events
 open Dgrace_detectors
-open Dgrace_shadow
 module Budget = Dgrace_resilience.Budget
 module Trace_shard = Dgrace_trace.Trace_shard
 module Span = Dgrace_obs.Span
@@ -34,47 +33,6 @@ type result = {
   replans : int;
 }
 
-(* Raised from the per-shard budget guard; never escapes this module. *)
-exception Stop of Budget.stop
-
-(* Same budget semantics as the sequential engine, applied to one
-   shard's stream: shadow pressure is answered by asking the detector
-   to degrade one step at a time and only stops the shard once nothing
-   more can be shed; event and deadline caps stop the shard outright.
-   The deadline is polled every 256 events to keep the clock read off
-   the hot path; [now_s] comes from the caller's clock source so
-   deadline behaviour is mockable in tests. *)
-let budget_guard (d : Detector.t) (b : Budget.t) ~degraded ~now_s ~t0 =
-  let events = ref 0 in
-  let over limit = Accounting.current_bytes d.account > limit in
-  let rec shed limit =
-    if over limit then
-      match d.degrade with
-      | Some step when step () ->
-        degraded := true;
-        shed limit
-      | Some _ | None ->
-        raise
-          (Stop
-             (Budget.Shadow_bytes
-                { limit; bytes = Accounting.current_bytes d.account }))
-  in
-  fun () ->
-    incr events;
-    (match b.Budget.max_events with
-     | Some limit when !events >= limit ->
-       raise (Stop (Budget.Max_events { limit }))
-     | Some _ | None -> ());
-    (match b.Budget.max_shadow_bytes with
-     | Some limit -> if over limit then shed limit
-     | None -> ());
-    match b.Budget.deadline_s with
-    | Some limit_s when !events land 255 = 0 ->
-      let elapsed_s = now_s () -. t0 in
-      if elapsed_s > limit_s then
-        raise (Stop (Budget.Deadline { limit_s; elapsed_s }))
-    | Some _ | None -> ()
-
 (* a finished shard's outcome; [busy_s] runs from [t0] *)
 let outcome ?stop ?(degraded = false) ?recorder index (d : Detector.t) ~events
     ~t0 =
@@ -92,47 +50,38 @@ let result ?(replans = 0) ~plan ~split_s ~t0 outcomes =
    race report with the global trace offset of the event that produced
    it (the collector's tag mechanism: the offset is stamped before
    each dispatch, and batched detectors stamp it per row themselves).
+   Events go through the governed sink with the shard's own budget
+   guard, recorder (ticked once per event: its merged final sample is
+   observable output), heartbeat and lane.
 
-   With [batched] and an eligible detector the stream is packed into
-   struct-of-arrays batches and handed to [process_batch]; the packing
-   happens before [busy_s] starts, mirroring how the split itself is
-   outside the per-shard analysis time.  The batch path engages only
-   when nothing per-event is requested — no budget guard, recorder,
-   progress heartbeat or tracing lane — so those semantics are exactly
-   the per-event loop's whenever they are observable. *)
+   With [batched] and the batch kernel eligible, the stream is packed
+   into struct-of-arrays batches and handed to [process_batch]; the
+   packing happens before [busy_s] starts, mirroring how the split
+   itself is outside the per-shard analysis time.  A batched shard
+   whose detector has no kernel is counted once on
+   [engine.batch_fallback]; the merged registry sums them. *)
 let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
     (stream : (int * Event.t) array) index =
   let d : Detector.t = make index in
-  let recorder =
-    match recorder_for with Some f -> f index d | None -> None
-  in
   let degraded = ref false in
-  let want_guard =
-    match budget with
-    | Some b when not (Budget.is_unlimited b) -> true
-    | Some _ | None -> false
+  let note = Option.map (fun buf () -> Span.instant buf "budget.degrade") lane in
+  let o =
+    {
+      Governed.guard =
+        Option.bind budget (fun b ->
+            Governed.guard ?note d b ~degraded ~now_s ());
+      recorder = recorder_for index d;
+      exact = true;
+      progress;
+      lane;
+    }
   in
   let batches =
-    if
-      batched && (not want_guard) && recorder = None && lane = None
-      && progress = None
-    then
-      match d.process_batch with
-      | Some pb -> Some (pb, Trace_shard.batches_of stream)
-      | None ->
-        (* surfaced per shard; the merged registry sums them *)
-        Dgrace_obs.Metrics.incr
-          (Dgrace_obs.Metrics.counter d.metrics "engine.batch_fallback");
-        None
-    else None
+    Option.map
+      (fun pb -> (pb, Trace_shard.batches_of stream))
+      (if batched then Governed.kernel d o else None)
   in
   let t0 = Unix.gettimeofday () in
-  let guard =
-    match budget with
-    | Some b when want_guard ->
-      Some (budget_guard d b ~degraded ~now_s ~t0:(now_s ()))
-    | Some _ | None -> None
-  in
   let delivered = ref 0 in
   let stop = ref None in
   (match batches with
@@ -140,42 +89,21 @@ let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
      Array.iter
        (fun b ->
          pb b;
-         delivered := !delivered + Dgrace_events.Batch.length b)
+         delivered := !delivered + Batch.length b)
        batches
    | None ->
-     (* The per-event dispatch is built once so the untraced path keeps
-        the direct call; with a lane, dispatch goes through a sampled
-        timer that attributes detector time on the shard's timeline. *)
-     let on_event =
-       match lane with
-       | None -> d.on_event
-       | Some buf ->
-         (* one event in 64 is dispatched armed and timed; the shard's
-            recorder tick stays exact (its merged final sample is
-            observable output), so it lives in the delivery loop, not in
-            the wrapper's [on_sample] *)
-         Span.wrap_dispatch buf ~name:"detector.on_event" ~stride:64
-           ~on_sample:(fun () -> ())
-           d.on_event
-     in
-     let progress =
-       match progress with None -> fun () -> () | Some f -> f
-     in
-     let last_off = ref (-1) in
+     if batched && not (Governed.observed o) then Governed.note_fallback d;
+     let sink = Governed.sink d o in
      (match lane with Some buf -> Span.begin_span buf "shard.run" | None -> ());
      (try
         Array.iter
           (fun (off, ev) ->
-            last_off := off;
             Report.Collector.set_tag d.collector off;
-            on_event ev;
             incr delivered;
-            (match recorder with Some r -> Recorder.tick r | None -> ());
-            progress ();
-            match guard with Some g -> g () | None -> ())
+            sink ev)
           stream
-      with Stop s ->
-        stop := Some (!last_off, s);
+      with Budget.Stop s ->
+        stop := Some (fst stream.(!delivered - 1), s);
         (match lane with
          | Some buf -> Span.instant buf "budget.stop"
          | None -> ()));
@@ -183,12 +111,13 @@ let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
   (match lane with
    | Some buf -> Span.span buf "shard.finish" d.finish
    | None -> d.finish ());
-  (match recorder with Some r -> Recorder.flush r | None -> ());
-  outcome ?stop:!stop ~degraded:!degraded ?recorder index d ~events:!delivered
-    ~t0
+  Option.iter Recorder.flush o.recorder;
+  outcome ?stop:!stop ~degraded:!degraded ?recorder:o.recorder index d
+    ~events:!delivered ~t0
 
 let analyze ?(mode = Parallel) ?(batched = true) ?budget
-    ?(clock = Dgrace_obs.Clock.ns) ?progress ?tracer ?recorder_for ~make
+    ?(clock = Dgrace_obs.Clock.ns) ?progress ?tracer
+    ?(recorder_for = fun _ _ -> None) ~make
     ~shards ~granule events =
   let now_s () = float_of_int (clock ()) *. 1e-9 in
   let t0 = Unix.gettimeofday () in
@@ -259,13 +188,12 @@ exception Replan
 
 module Ring = Dgrace_trace.Batch_ring
 
-(* [process_batch], or the tagged per-event fallback *)
+(* the batch kernel, or the tagged per-event fallback (counted once) *)
 let batch_consumer (d : Detector.t) =
-  match d.process_batch with
+  match Governed.kernel d Governed.unobserved with
   | Some pb -> pb
   | None ->
-    Dgrace_obs.Metrics.incr
-      (Dgrace_obs.Metrics.counter d.metrics "engine.batch_fallback");
+    Governed.note_fallback d;
     fun b ->
       for r = 0 to Batch.length b - 1 do
         Report.Collector.set_tag d.collector b.Batch.off.(r);

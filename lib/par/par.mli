@@ -98,7 +98,8 @@ val analyze :
 
     [tracer] records the split, the join barrier, and welding on the
     ["main"] lane, and gives each shard a {!shard_lane} timeline with
-    a ["shard.run"] span, a ["shard.finish"] span, a ["budget.stop"]
+    a ["shard.run"] span, a ["shard.finish"] span, a
+    ["budget.degrade"] instant per shedding pass and a ["budget.stop"]
     instant if its budget fired, and a sampled ["detector.on_event"]
     timer.  [recorder_for i d] may attach a wall-clock flight recorder
     to shard [i]'s detector; it is ticked once per delivered event,

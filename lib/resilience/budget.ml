@@ -69,3 +69,34 @@ let stop_to_error = function
       }
   | Shadow_bytes { limit; bytes } ->
     Error.Budget_exhausted { budget = "shadow_bytes"; limit; actual = bytes }
+
+exception Stop of stop
+
+let guard ?(note = fun () -> ()) b ~live_bytes ~degrade ~degraded ~now_s ?t0 ()
+    =
+  if is_unlimited b then None
+  else begin
+    let t0 = match t0 with Some t -> t | None -> now_s () in
+    let events = ref 0 in
+    let rec shed limit =
+      if live_bytes () > limit then
+        if degrade () then begin
+          degraded := true;
+          note ();
+          shed limit
+        end
+        else raise (Stop (Shadow_bytes { limit; bytes = live_bytes () }))
+    in
+    Some
+      (fun () ->
+        incr events;
+        (match b.max_events with
+         | Some limit when !events >= limit -> raise (Stop (Max_events { limit }))
+         | Some _ | None -> ());
+        (match b.max_shadow_bytes with Some limit -> shed limit | None -> ());
+        match b.deadline_s with
+        | Some limit_s when !events land 255 = 0 ->
+          let elapsed_s = now_s () -. t0 in
+          if elapsed_s > limit_s then raise (Stop (Deadline { limit_s; elapsed_s }))
+        | Some _ | None -> ())
+  end

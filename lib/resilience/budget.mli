@@ -44,3 +44,33 @@ val stop_to_json : stop -> Dgrace_obs.Json.t
 
 val stop_to_error : stop -> Error.t
 (** The {!Error.Budget_exhausted} form, for [Engine.checked]. *)
+
+exception Stop of stop
+(** Raised by a {!guard}; the loop that installed the guard catches it
+    and turns it into the [partial] field of its summary. *)
+
+val guard :
+  ?note:(unit -> unit) ->
+  t ->
+  live_bytes:(unit -> int) ->
+  degrade:(unit -> bool) ->
+  degraded:bool ref ->
+  now_s:(unit -> float) ->
+  ?t0:float ->
+  unit ->
+  (unit -> unit) option
+(** The one budget check, called once after each delivered event; [None]
+    for an unlimited budget, so an unbudgeted loop pays nothing.  It
+    counts events itself, so one guard governs one stream: one run,
+    one shard or one serve session.
+
+    - Past [max_events] events it raises [Stop (Max_events _)].
+    - While [live_bytes ()] exceeds [max_shadow_bytes] it calls
+      [degrade] (one shedding step), sets [degraded] and calls [note]
+      (a trace instant) after each successful step, and raises
+      [Stop (Shadow_bytes _)] once [degrade] returns [false] with the
+      bytes still over.
+    - Every 256th event it reads [now_s] and raises [Stop (Deadline _)]
+      when more than [deadline_s] seconds passed since [t0] (default:
+      [now_s ()] when the guard is built, read only for a limited
+      budget). *)

@@ -5,6 +5,7 @@ module Spec = Dgrace_core.Spec
 module Budget = Dgrace_resilience.Budget
 module Error = Dgrace_resilience.Error
 module Accounting = Dgrace_shadow.Accounting
+module Governed = Dgrace_detectors.Governed
 module Trace_codec = Dgrace_trace.Trace_codec
 module Trace_format_v2 = Dgrace_trace.Trace_format_v2
 module Batch_ring = Dgrace_trace.Batch_ring
@@ -33,10 +34,17 @@ type phase =
   | Finalized of Engine.summary
   | Poisoned of Error.t
 
+(* The detector a streaming session feeds, with its governed sink and
+   batch kernel (built once, at open). *)
+type live = {
+  d : Detector.t;
+  sink : Event.t -> unit;
+  kernel : (Batch.t -> unit) option;
+}
+
 type t = {
   id : int;
   spec_name : string;
-  budget : Budget.t;
   now_s : unit -> float;
   t0 : float;
   dec : Trace_codec.decoder;
@@ -47,9 +55,9 @@ type t = {
   dpool : Batch_ring.t;  (* bounded pool of reader-side decode targets *)
   mutable dec_failed : Error.t option;  (* sticky decode failure *)
   mu : Mutex.t;
-  mutable detector : Detector.t option;  (* None once terminal *)
+  mutable live : live option;  (* None once terminal *)
   mutable phase : phase;
-  mutable degraded : bool;
+  degraded : bool ref;
   mutable events : int;
   mutable reported : int;  (* races already handed out via acks *)
 }
@@ -62,16 +70,24 @@ type ack = { ack_events : int; new_races : Report.t list }
    thread simply stops reading the socket). *)
 let decode_pool_slots = 4
 
-let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
-    ?vc_intern ?tracer ~id ~spec () =
-  let d = Spec.to_detector ?suppression ?vc_intern ?tracer spec in
+(* The session's budget guard counts the events it sees, which are all
+   of the session's events: under a limited budget nothing takes the
+   batch kernel. *)
+let make ~budget ~clock ~id ~spec_name d =
   let now_s () = float_of_int (clock ()) *. 1e-9 in
+  let t0 = now_s () in
+  let degraded = ref false in
+  let o =
+    {
+      Governed.unobserved with
+      guard = Governed.guard d budget ~degraded ~now_s ~t0 ();
+    }
+  in
   {
     id;
-    spec_name = Spec.name spec;
-    budget;
+    spec_name;
     now_s;
-    t0 = now_s ();
+    t0;
     dec = Trace_codec.decoder ();
     v2 = Trace_format_v2.stream_decoder ();
     v2_base = 0;
@@ -80,38 +96,23 @@ let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
     dpool = Batch_ring.create ~slots:decode_pool_slots ();
     dec_failed = None;
     mu = Mutex.create ();
-    detector = Some d;
+    live = Some { d; sink = Governed.sink d o; kernel = Governed.kernel d o };
     phase = Streaming;
-    degraded = false;
+    degraded;
     events = 0;
     reported = 0;
   }
+
+let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
+    ?vc_intern ?tracer ~id ~spec () =
+  make ~budget ~clock ~id ~spec_name:(Spec.name spec)
+    (Spec.to_detector ?suppression ?vc_intern ?tracer spec)
 
 (* Build a session around an externally constructed detector — the
    test hook that lets the suite inject a detector that raises and
    prove the crash-only contract contains it. *)
 let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
-  let now_s () = float_of_int (clock ()) *. 1e-9 in
-  {
-    id;
-    spec_name = d.Detector.name;
-    budget;
-    now_s;
-    t0 = now_s ();
-    dec = Trace_codec.decoder ();
-    v2 = Trace_format_v2.stream_decoder ();
-    v2_base = 0;
-    batch = Batch.create ();
-    dmu = Mutex.create ();
-    dpool = Batch_ring.create ~slots:decode_pool_slots ();
-    dec_failed = None;
-    mu = Mutex.create ();
-    detector = Some d;
-    phase = Streaming;
-    degraded = false;
-    events = 0;
-    reported = 0;
-  }
+  make ~budget ~clock ~id ~spec_name:d.Detector.name d
 
 let locked t f =
   Mutex.lock t.mu;
@@ -120,60 +121,26 @@ let locked t f =
 let id t = t.id
 let detector_name t = t.spec_name
 let events t = t.events
-let degraded t = locked t (fun () -> t.degraded)
+let degraded t = locked t (fun () -> !(t.degraded))
 let elapsed_s t = t.now_s () -. t.t0
-
-exception Stop_ of Budget.stop
-
-(* Same degrade-don't-die semantics as the engine's budget guard,
-   per delivered event; the deadline is polled every 256 events and
-   reads the session's (mockable) clock. *)
-let check_budget t (d : Detector.t) =
-  (match t.budget.Budget.max_events with
-   | Some limit when t.events >= limit ->
-     raise (Stop_ (Budget.Max_events { limit }))
-   | Some _ | None -> ());
-  (match t.budget.Budget.max_shadow_bytes with
-   | Some limit ->
-     let over () = Accounting.current_bytes d.account > limit in
-     let rec shed () =
-       if over () then
-         match d.degrade with
-         | Some step when step () ->
-           t.degraded <- true;
-           shed ()
-         | Some _ | None ->
-           raise
-             (Stop_
-                (Budget.Shadow_bytes
-                   { limit; bytes = Accounting.current_bytes d.account }))
-     in
-     shed ()
-   | None -> ());
-  match t.budget.Budget.deadline_s with
-  | Some limit_s when t.events land 255 = 0 ->
-    let elapsed_s = t.now_s () -. t.t0 in
-    if elapsed_s > limit_s then
-      raise (Stop_ (Budget.Deadline { limit_s; elapsed_s }))
-  | Some _ | None -> ()
 
 (* Terminal transitions.  [seal] finishes the detector and packages
    the summary exactly as a one-shot run would; [poison] abandons the
    detector without finishing it (its state is suspect).  Both drop
    the detector reference so its shadow memory is reclaimed. *)
 
-let seal t (d : Detector.t) ~partial =
-  d.Detector.finish ();
+let seal t (l : live) ~partial =
+  l.d.finish ();
   let s =
-    Engine.summarize_detector d
+    Engine.summarize_detector l.d
       ~elapsed:(t.now_s () -. t.t0)
-      ~partial ~degraded:t.degraded
+      ~partial ~degraded:!(t.degraded)
   in
-  t.detector <- None;
+  t.live <- None;
   s
 
 let poison_locked t e =
-  t.detector <- None;
+  t.live <- None;
   t.phase <- Poisoned e;
   (* a reader thread blocked acquiring a decode batch must not wait on
      a worker that will never recycle one *)
@@ -201,14 +168,14 @@ let take_new_races t (races : Report.t list) =
    decode-and-deliver closure) under the session's crash-only contract:
    success acks, a budget stop seals the partial summary, a decode
    error or detector exception poisons.  Called with [t.mu] held. *)
-let deliver_locked t (d : Detector.t) run =
+let deliver_locked t (l : live) run =
   match run () with
   | () ->
-    Ok { ack_events = t.events; new_races = take_new_races t (Detector.races d) }
-  | exception Stop_ stop ->
+    Ok { ack_events = t.events; new_races = take_new_races t (Detector.races l.d) }
+  | exception Budget.Stop stop ->
     (* seal the partial summary now; the feed itself answers the
        budget error so the client knows to stop sending *)
-    (match seal t d ~partial:(Some stop) with
+    (match seal t l ~partial:(Some stop) with
      | s -> t.phase <- Stopped (stop, s)
      | exception exn ->
        poison_locked t
@@ -224,74 +191,62 @@ let deliver_locked t (d : Detector.t) run =
          { where = "session.detector"; reason = Printexc.to_string exn });
     Error (terminal_error t.phase)
 
-(* The batch fast path engages only when nothing observable depends on
-   per-event granularity: an unlimited budget makes [check_budget] a
-   no-op, so handing the detector a whole struct-of-arrays batch is
-   race-identical to the event loop (the differential serve tests lock
-   this in). *)
-let batch_sink t (d : Detector.t) =
-  if Budget.is_unlimited t.budget then d.Detector.process_batch else None
+(* Per-event delivery through the session's governed sink.  The batch
+   kernel engages only when nothing observable depends on per-event
+   granularity (an unlimited budget), so handing the detector a whole
+   struct-of-arrays batch is race-identical to the event loop (the
+   differential serve tests lock this in). *)
+let deliver_events t (l : live) evs =
+  List.iter
+    (fun ev ->
+      t.events <- t.events + 1;
+      l.sink ev)
+    evs
 
-let deliver_batch t (d : Detector.t) (b : Batch.t) =
-  match batch_sink t d with
+let deliver_batch t (l : live) (b : Batch.t) =
+  match l.kernel with
   | Some pb ->
     pb b;
     t.events <- t.events + Batch.length b
   | None ->
     Batch.iter_events
       (fun ev ->
-        d.Detector.on_event ev;
         t.events <- t.events + 1;
-        check_budget t d)
+        l.sink ev)
       b
+
+let feed_batch_locked t b =
+  match (t.phase, t.live) with
+  | Streaming, Some l -> deliver_locked t l (fun () -> deliver_batch t l b)
+  | ph, _ -> Error (terminal_error ph)
 
 let feed_events t evs =
   locked t @@ fun () ->
-  match t.phase with
-  | Streaming ->
-    let d = Option.get t.detector in
-    deliver_locked t d (fun () ->
-        List.iter
-          (fun ev ->
-            d.Detector.on_event ev;
-            t.events <- t.events + 1;
-            check_budget t d)
-          evs)
-  | ph -> Error (terminal_error ph)
+  match (t.phase, t.live) with
+  | Streaming, Some l -> deliver_locked t l (fun () -> deliver_events t l evs)
+  | ph, _ -> Error (terminal_error ph)
 
 let feed_frame t payload =
   locked t @@ fun () ->
-  match t.phase with
-  | Streaming -> (
-    let d = Option.get t.detector in
-    match batch_sink t d with
-    | Some pb ->
-      (* decode straight into the reused batch and deliver
-         struct-of-arrays; a decode error surfaces as [Error.E] and
-         poisons like the list path *)
-      deliver_locked t d (fun () ->
-          match
-            Trace_codec.decode_frame_batch t.dec payload ~batch:t.batch
-              (fun b ->
-                pb b;
-                t.events <- t.events + Batch.length b)
-          with
-          | Ok () -> ()
-          | Error e -> raise (Error.E e))
-    | None -> (
-      match Trace_codec.decode_frame t.dec payload with
-      | Ok evs ->
-        deliver_locked t d (fun () ->
-            List.iter
-              (fun ev ->
-                d.Detector.on_event ev;
-                t.events <- t.events + 1;
-                check_budget t d)
-              evs)
-      | Error e ->
-        poison_locked t e;
-        Error e))
-  | ph -> Error (terminal_error ph)
+  match (t.phase, t.live) with
+  | Streaming, Some ({ kernel = Some _; _ } as l) ->
+    (* decode straight into the reused batch and deliver
+       struct-of-arrays; a decode error surfaces as [Error.E] and
+       poisons like the list path *)
+    deliver_locked t l (fun () ->
+        match
+          Trace_codec.decode_frame_batch t.dec payload ~batch:t.batch
+            (deliver_batch t l)
+        with
+        | Ok () -> ()
+        | Error e -> raise (Error.E e))
+  | Streaming, Some l -> (
+    match Trace_codec.decode_frame t.dec payload with
+    | Ok evs -> deliver_locked t l (fun () -> deliver_events t l evs)
+    | Error e ->
+      poison_locked t e;
+      Error e)
+  | ph, _ -> Error (terminal_error ph)
 
 (* Reader-side decode of one BATCH frame — the serve half of the
    replay pipeline (doc/trace.md): the connection systhread decodes
@@ -341,11 +296,7 @@ let apply_decoded t b =
     ~finally:(fun () -> Batch_ring.recycle t.dpool b)
     (fun () ->
       locked t @@ fun () ->
-      match t.phase with
-      | Streaming ->
-        let d = Option.get t.detector in
-        deliver_locked t d (fun () -> deliver_batch t d b)
-      | ph -> Error (terminal_error ph))
+      feed_batch_locked t b)
 
 (* Worker side of a reader decode failure, applied at its position in
    the stream: every batch decoded before it has been applied by now,
@@ -365,18 +316,12 @@ let feed_batch_frame t payload =
   | Ok b -> apply_decoded t b
   | Error e -> poison_decoded t e
 
-let feed_batch t b =
-  locked t @@ fun () ->
-  match t.phase with
-  | Streaming ->
-    let d = Option.get t.detector in
-    deliver_locked t d (fun () -> deliver_batch t d b)
-  | ph -> Error (terminal_error ph)
+let feed_batch t b = locked t (fun () -> feed_batch_locked t b)
 
 let races_so_far t =
   locked t @@ fun () ->
   match t.phase with
-  | Streaming -> Detector.races (Option.get t.detector)
+  | Streaming -> Detector.races (Option.get t.live).d
   | Stopped (_, s) | Finalized s -> s.Engine.races
   | Poisoned _ -> []
 
@@ -384,8 +329,7 @@ let finalize t =
   locked t @@ fun () ->
   match t.phase with
   | Streaming -> (
-    let d = Option.get t.detector in
-    match seal t d ~partial:None with
+    match seal t (Option.get t.live) ~partial:None with
     | s ->
       t.phase <- Finalized s;
       Ok s
@@ -404,8 +348,7 @@ let finalize_partial t ~stop =
   locked t @@ fun () ->
   match t.phase with
   | Streaming -> (
-    let d = Option.get t.detector in
-    match seal t d ~partial:(Some stop) with
+    match seal t (Option.get t.live) ~partial:(Some stop) with
     | s ->
       t.phase <- Stopped (stop, s);
       Ok s
@@ -447,8 +390,8 @@ let state t : state =
 
 let shadow_bytes t =
   locked t @@ fun () ->
-  match t.detector with
-  | Some d -> Accounting.current_bytes d.Detector.account
+  match t.live with
+  | Some l -> Accounting.current_bytes l.d.account
   | None -> 0
 
 let summary t =

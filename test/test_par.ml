@@ -323,6 +323,63 @@ let test_budget_degraded () =
   Alcotest.(check int) "exit 3" Dgrace_resilience.Error.exit_partial
     (Engine.exit_code_of_summary s)
 
+(* the shards shed through the same guard as the sequential engine, so
+   a traced sharded run marks each shedding pass on its shard's lane *)
+let test_budget_degrade_instants () =
+  let events = recorded (Option.get (Registry.find "raytrace")) 1 in
+  let budget = Dgrace_resilience.Budget.make ~max_shadow_bytes:100_000 () in
+  List.iter
+    (fun shards ->
+      let tracer = Dgrace_obs.Span.create () in
+      let s =
+        Engine.replay_sharded ~tracer ~budget ~shards ~spec:Spec.dynamic
+          (Array.to_seq events)
+      in
+      Alcotest.(check bool) "degraded" true s.degraded;
+      let instants =
+        List.concat_map
+          (fun (v : Dgrace_obs.Span.lane_view) ->
+            if String.starts_with ~prefix:"shard" v.lane then
+              List.filter
+                (fun (e : Dgrace_obs.Span.event) ->
+                  e.kind = Dgrace_obs.Span.Instant && e.name = "budget.degrade")
+                v.events
+            else [])
+          (Dgrace_obs.Span.lane_views tracer)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "budget.degrade on a shard lane at shards=%d" shards)
+        true
+        (instants <> []))
+    [ 1; 2 ]
+
+(* the summary's [elapsed] reads the caller's clock on the sharded
+   paths too: a 1 s ticker read at start and end *)
+let test_sharded_elapsed_clock () =
+  let events = recorded (Option.get (Registry.find "dedup")) 1 in
+  let step = 1_000_000_000 in
+  let ticker () = Dgrace_obs.Clock.ticker ~step () in
+  let s =
+    Engine.replay_sharded ~clock:(ticker ()) ~shards:2 ~spec:Spec.dynamic
+      (Array.to_seq events)
+  in
+  Alcotest.(check (float 1e-9)) "replay_sharded: one step" 1.0 s.elapsed;
+  let path = Filename.temp_file "dgrace" ".trace.v2" in
+  let (), _ =
+    Dgrace_trace.Trace_format_v2.to_file path (fun sink ->
+        Array.iter sink events)
+  in
+  let pipelined () =
+    (Engine.replay_sharded_pipelined ~clock:(ticker ()) ~shards:1
+       ~spec:Spec.dynamic path)
+      .elapsed
+  in
+  let a = pipelined () and b = pipelined () in
+  Sys.remove path;
+  Alcotest.(check (float 1e-6)) "whole steps" (Float.round a) a;
+  Alcotest.(check bool) "at least one step" true (a >= 1.);
+  Alcotest.(check (float 1e-9)) "same steps across identical runs" a b
+
 (* ------------------------------------------------------------------ *)
 (* observability composes with sharding: per-shard recorders merge to
    the sequential run's final sample, and a traced sharded replay
@@ -438,6 +495,10 @@ let suites : unit Alcotest.test list =
           test_budget_partial;
         Alcotest.test_case "shadow cap degrades, races lower bound" `Quick
           test_budget_degraded;
+        Alcotest.test_case "degrade instants on shard lanes" `Quick
+          test_budget_degrade_instants;
+        Alcotest.test_case "sharded elapsed reads the clock" `Quick
+          test_sharded_elapsed_clock;
       ] );
     ( "par.obs",
       [

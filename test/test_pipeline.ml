@@ -353,6 +353,56 @@ let test_corrupt_corpus_error_identity () =
 (* ------------------------------------------------------------------ *)
 (* budget stop identity *)
 
+(* Every governed path shares one budget guard, so a budget stops or
+   degrades each of them at the same event: same stop reason (with the
+   live bytes of a shadow stop), same [degraded] flag, same races in
+   the same order, same access count.  The per-event [Engine.replay] is
+   the reference. *)
+let governed_paths ~budget events =
+  let path = tmp_file () in
+  let (), _ =
+    Trace_format_v2.to_file path (fun sink -> Array.iter sink events)
+  in
+  let spec = Spec.dynamic in
+  let session feed =
+    let t = Session.open_ ~budget ~id:1 ~spec () in
+    feed t;
+    match Session.finalize t with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "session: %s" (Error.to_string e)
+  in
+  let feed_events t =
+    (* frame-sized chunks, stopping at the first refused feed *)
+    let n = Array.length events in
+    let rec go i =
+      if i < n then
+        let len = min 1000 (n - i) in
+        match Session.feed_events t (Array.to_list (Array.sub events i len)) with
+        | Ok _ -> go (i + len)
+        | Error _ -> ()
+    in
+    go 0
+  in
+  let feed_batches t =
+    Trace_format_v2.fold_batches path
+      (fun ok b -> ok && Result.is_ok (Session.feed_batch t b))
+      true
+    |> ignore
+  in
+  let runs =
+    [
+      ("replay", Engine.replay ~budget ~spec (Array.to_seq events));
+      ("replay_batches", Engine.replay_batches ~budget ~spec (fold_feed path));
+      ("replay_pipelined", Engine.replay_pipelined ~budget ~spec path);
+      ( "replay_sharded ~shards:1",
+        Engine.replay_sharded ~budget ~shards:1 ~spec (Array.to_seq events) );
+      ("Session.feed_events", session feed_events);
+      ("Session.feed_batch", session feed_batches);
+    ]
+  in
+  Sys.remove path;
+  runs
+
 let test_budget_stop_identity () =
   let path = corpus "racy" in
   List.iter
@@ -376,7 +426,44 @@ let test_budget_stop_identity () =
         (ctx ^ ": stop reason")
         (stop seq.partial) (stop pipe.partial);
       check_equivalent ~ctx seq pipe)
-    [ 1; 5; 1_000_000 ]
+    [ 1; 5; 1_000_000 ];
+  let stop (s : Engine.summary) =
+    Option.fold ~none:"completed" ~some:Budget.stop_to_string s.partial
+  in
+  List.iter
+    (fun name ->
+      let events =
+        Test_par.recorded
+          (Option.get (Dgrace_workloads.Registry.find name))
+          1
+      in
+      List.iter
+        (fun (what, budget) ->
+          match governed_paths ~budget events with
+          | [] -> assert false
+          | (_, (reference : Engine.summary)) :: others ->
+            List.iter
+              (fun (path_name, (s : Engine.summary)) ->
+                let ctx = Printf.sprintf "%s %s %s" name what path_name in
+                Alcotest.(check string) (ctx ^ ": stop") (stop reference) (stop s);
+                Alcotest.(check bool)
+                  (ctx ^ ": degraded") reference.degraded s.degraded;
+                Alcotest.(check (list report))
+                  (ctx ^ ": races") reference.races s.races;
+                Alcotest.(check int)
+                  (ctx ^ ": accesses") reference.stats.accesses
+                  s.stats.accesses)
+              others)
+        (List.map
+           (fun n ->
+             (Printf.sprintf "max_events=%d" n, Budget.make ~max_events:n ()))
+           [ 1; 256; 5000 ]
+        @ List.map
+            (fun n ->
+              ( Printf.sprintf "max_shadow_bytes=%d" n,
+                Budget.make ~max_shadow_bytes:n () ))
+            [ 1; 30_000; 100_000 ]))
+    [ "raytrace"; "dedup"; "pbzip2" ]
 
 (* ------------------------------------------------------------------ *)
 (* serve: split decode/apply = inline feed_batch_frame *)
